@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import DEFAULT_THRESHOLD, split_rhat
+from .diagnostics import DEFAULT_THRESHOLD, rhat_report
 from .io import load_value_csv, write_table
 from .metrics import score
 from .runner import FitConfig, SimConfig, apply_preset, run_fit, run_simulation
@@ -126,12 +126,8 @@ def _cmd_diagnose(args) -> int:
     if arr.shape[0] < 2:
         print("diagnose needs at least 2 chains", file=sys.stderr)
         return 2
-    flat = arr.reshape(arr.shape[0], arr.shape[1], -1)
-    rows = []
-    for k in range(flat.shape[2]):
-        val = split_rhat(flat[:, :, k])
-        name = args.quantity if flat.shape[2] == 1 else f"{args.quantity}[{k}]"
-        rows.append((name, val, "pass" if val < args.threshold else "fail"))
+    report = rhat_report(arr, args.quantity, args.threshold)
+    rows = [(name, val, "pass" if ok else "fail") for name, val, ok in report.rows()]
     if args.out:
         write_table(args.out, ("parameter", "split_rhat", "status"), rows, None)
     else:

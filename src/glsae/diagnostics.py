@@ -56,9 +56,9 @@ class RhatReport:
             yield name, float(value), bool(value < self.threshold)
 
 
-def rhat_report(store, quantity: str = "mu", threshold: float = DEFAULT_THRESHOLD) -> RhatReport:
-    """Split-R-hat per scalar coordinate of a monitored quantity."""
-    arr = store.draws[quantity]
+def rhat_report(draws, quantity: str, threshold: float = DEFAULT_THRESHOLD) -> RhatReport:
+    """Split-R-hat per scalar coordinate of ``quantity``, whose ``draws`` are (chain, draw, ...)."""
+    arr = np.asarray(draws)
     flat = arr.reshape(arr.shape[0], arr.shape[1], -1)
     n_scalar = flat.shape[2]
     values = np.array([split_rhat(flat[:, :, k]) for k in range(n_scalar)])

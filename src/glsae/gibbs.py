@@ -1,18 +1,27 @@
 """Gibbs samplers for all six model variants.
 
-Scan order is fixed: th -> mu -> eta -> local variances -> global
-variances (the one-source variant has no th level). Every conditional is
-written below both as a parameter function (``*_conditional``), used by
-the verification suite to compare the sampled kernel against the joint
-density, and as an in-place update that draws from it.
+Each sweep draws the Gaussian coordinates as one exact block given the
+variances, then the local variances, then the global variances (the
+one-source variant has no th level). Every conditional is written below
+as a parameter function (``*_conditional``), used by the verification
+suite to compare the sampled kernel against the joint density; the
+sweep draws from the same moments.
 
-Full conditionals (two-source variants; a_ij is the variant's source-level
-variance, b_i = lam_i * tau2_sq):
+Gaussian block (two-source variants; a_ij is the variant's source-level
+variance, A_i = lam_i * tau2_sq, and s2, h2, ybar come from
+:func:`glsae.summary.collapse`, computed once per sweep):
 
-    th_ij | else ~ N( (y/v + mu/a) / (1/v + 1/a), 1 / (1/v + 1/a) )
-    mu_i  | else ~ N( (sum_j th/a + eta/b) / (c_i + d_i), 1/(c_i + d_i) ),
-                    c_i = sum_j 1/a_ij, d_i = 1/b_i
-    eta   | else ~ N( sum_i d_i mu_i / sum_i d_i, 1 / sum_i d_i )
+    eta  | variances      ~ N( sum_i w_i ybar_i / sum_i w_i, 1 / sum_i w_i ),
+                             w_i = 1 / (A_i + h2_i)          (th, mu integrated)
+    mu_i | eta, variances ~ N( (ybar_i/h2_i + eta/A_i) / p_i, 1 / p_i ),
+                             p_i = 1/h2_i + 1/A_i            (th integrated)
+    th_ij | mu, else      ~ N( (y/v + mu/a) / (1/v + 1/a), 1 / (1/v + 1/a) )
+
+For one-source, s2 = v. The block is drawn by the chain rule because
+single-site updates of these coordinates random-walk badly when the data
+are weakly informative (the grand mean drags all areas; small th-level
+variances freeze the (th, mu) pair), which shows in the split-R-hat
+protocol.
 
 Horseshoe local variances (via the inverse-gamma scale mixture):
 
@@ -52,7 +61,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,56 +83,26 @@ class SamplerDivergence(RuntimeError):
 # conditional parameters
 
 
-def theta_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
-    """Mean and variance of the th conditional, each (I, J)."""
-    if not model.has_theta_level:
-        raise ValueError("one_source has no th level")
-    a = _summary.source_variance(model, state.lambda_ij, state.lambda_i, state.tau1_sq, shape=panel.v.shape)
-    prec = 1.0 / panel.v + 1.0 / a
-    mean = (panel.y / panel.v + state.mu[:, None] / a) / prec
+def _collapsed(state: ChainState, panel: SourcePanel, model: ModelVariant) -> _summary.Collapsed:
+    return _summary.collapse(panel, model, state.lambda_ij, state.lambda_i, state.tau1_sq, state.tau2_sq)
+
+
+def _eta_moments(c: _summary.Collapsed) -> tuple[float, float]:
+    w = 1.0 / (c.A + c.h2)
+    wsum = w.sum()
+    return float((w * c.ybar).sum() / wsum), float(1.0 / wsum)
+
+
+def _mu_moments(c: _summary.Collapsed, eta: float):
+    prec = 1.0 / c.h2 + 1.0 / c.A
+    mean = (c.ybar / c.h2 + eta / c.A) / prec
     return mean, 1.0 / prec
 
 
-def mu_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
-    """Mean and variance of the mu conditional, each (I,)."""
-    d = 1.0 / (state.lambda_i * state.tau2_sq)
-    if model.has_theta_level:
-        a = _summary.source_variance(model, state.lambda_ij, state.lambda_i, state.tau1_sq, shape=panel.v.shape)
-        c = (1.0 / a).sum(axis=1)
-        num = (state.theta / a).sum(axis=1)
-    else:
-        c = 1.0 / panel.v[:, 0]
-        num = panel.y[:, 0] / panel.v[:, 0]
-    var = 1.0 / (c + d)
-    mean = (num + state.eta * d) * var
-    return mean, var
-
-
-def eta_conditional(state: ChainState):
-    """Mean and variance of the flat-prior eta conditional."""
-    d = 1.0 / (state.lambda_i * state.tau2_sq)
-    dsum = d.sum()
-    return float((d * state.mu).sum() / dsum), float(1.0 / dsum)
-
-
-def _collapsed_pieces(state: ChainState, panel: SourcePanel, model: ModelVariant):
-    """Per-area collapsed quantities given the variances.
-
-    Integrating th (where present) gives y_ij | mu_i ~ N(mu_i, v + a), so
-    ybar_i | mu_i ~ N(mu_i, h2_i) with h2_i the pooled within-area variance
-    and A_i = lam_i * tau2_sq the across-area variance.
-    """
-    if model.has_theta_level:
-        a = _summary.source_variance(model, state.lambda_ij, state.lambda_i, state.tau1_sq, shape=panel.v.shape)
-        s2 = panel.v + a
-    else:
-        s2 = panel.v
-    w = 1.0 / s2
-    wsum = w.sum(axis=1)
-    h2 = 1.0 / wsum
-    ybar = (panel.y * w).sum(axis=1) * h2
-    A = state.lambda_i * state.tau2_sq
-    return ybar, h2, A
+def _theta_moments(c: _summary.Collapsed, mu: np.ndarray, panel: SourcePanel):
+    prec = 1.0 / panel.v + 1.0 / c.a
+    mean = (panel.y / panel.v + mu[:, None] / c.a) / prec
+    return mean, 1.0 / prec
 
 
 def eta_collapsed_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
@@ -133,18 +111,19 @@ def eta_collapsed_conditional(state: ChainState, panel: SourcePanel, model: Mode
     Marginally ybar_i ~ N(eta, A_i + h2_i); the flat prior makes the draw a
     precision-weighted mean of the pooled area estimates.
     """
-    ybar, h2, A = _collapsed_pieces(state, panel, model)
-    w = 1.0 / (A + h2)
-    wsum = w.sum()
-    return float((w * ybar).sum() / wsum), float(1.0 / wsum)
+    return _eta_moments(_collapsed(state, panel, model))
 
 
 def mu_collapsed_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
-    """Mean and variance of mu given eta, y and the variances (th integrated out)."""
-    ybar, h2, A = _collapsed_pieces(state, panel, model)
-    prec = 1.0 / h2 + 1.0 / A
-    mean = (ybar / h2 + state.eta / A) / prec
-    return mean, 1.0 / prec
+    """Mean and variance of mu given eta, y and the variances (th integrated out), each (I,)."""
+    return _mu_moments(_collapsed(state, panel, model), state.eta)
+
+
+def theta_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
+    """Mean and variance of the th conditional, each (I, J)."""
+    if not model.has_theta_level:
+        raise ValueError("one_source has no th level")
+    return _theta_moments(_collapsed(state, panel, model), state.mu, panel)
 
 
 def _theta_residual_sq(state: ChainState) -> np.ndarray:
@@ -222,29 +201,21 @@ def xi_conditional(lam) -> InverseGammaParams:
 # in-place updates
 
 
-def update_theta(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
-    mean, var = theta_conditional(state, panel, model)
-    state.theta = mean + np.sqrt(var) * rng.generator.standard_normal(mean.shape)
+def update_gaussian_block(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
+    """Draw eta, then mu given eta, then th given mu, from one set of collapsed pieces.
 
-
-def update_mu(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
-    mean, var = mu_conditional(state, panel, model)
-    state.mu = mean + np.sqrt(var) * rng.generator.standard_normal(mean.shape)
-
-
-def update_eta(state: ChainState, rng: RngStream) -> None:
-    mean, var = eta_conditional(state)
-    state.eta = mean + math.sqrt(var) * float(rng.generator.standard_normal())
-
-
-def update_eta_collapsed(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
-    mean, var = eta_collapsed_conditional(state, panel, model)
-    state.eta = mean + math.sqrt(var) * float(rng.generator.standard_normal())
-
-
-def update_mu_collapsed(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
-    mean, var = mu_collapsed_conditional(state, panel, model)
-    state.mu = mean + np.sqrt(var) * rng.generator.standard_normal(mean.shape)
+    None of the three draws changes a variance, so the pieces computed
+    once at the top serve all of them.
+    """
+    gen = rng.generator
+    c = _collapsed(state, panel, model)
+    mean, var = _eta_moments(c)
+    state.eta = mean + math.sqrt(var) * float(gen.standard_normal())
+    mean, var = _mu_moments(c, state.eta)
+    state.mu = mean + np.sqrt(var) * gen.standard_normal(mean.shape)
+    if model.has_theta_level:
+        mean, var = _theta_moments(c, state.mu, panel)
+        state.theta = mean + np.sqrt(var) * gen.standard_normal(mean.shape)
 
 
 def update_local_variances_horseshoe(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
@@ -291,21 +262,8 @@ def update_global_variances(state: ChainState, panel: SourcePanel, model: ModelV
 
 
 def sweep(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
-    """One full Gibbs scan.
-
-    The Gaussian coordinates are drawn as one exact block by the chain
-    rule given the variances: eta from its fully collapsed conditional,
-    then mu given eta (th collapsed), then th given mu. Single-site updates
-    for these coordinates random-walk badly when the data are weakly
-    informative (the grand mean drags all areas; small th-level variances
-    freeze the (th, mu) pair), which shows up directly in the split-R-hat
-    protocol. The variance layers then follow their scale-mixture
-    conditionals in fixed order.
-    """
-    update_eta_collapsed(state, panel, model, rng)
-    update_mu_collapsed(state, panel, model, rng)
-    if model.has_theta_level:
-        update_theta(state, panel, model, rng)
+    """One full Gibbs scan: the Gaussian block, then local, then global variances."""
+    update_gaussian_block(state, panel, model, rng)
     update_local_variances(state, panel, model, rng)
     update_global_variances(state, panel, model, rng)
 
@@ -461,12 +419,6 @@ def run_chain(
     return recorded, (k_first, k_last + 1)
 
 
-def _run_chain_task(args):
-    panel, model, settings, stream_id, overdispersion = args
-    draws, _ = run_chain(panel, model, settings, stream_id, overdispersion=overdispersion)
-    return draws
-
-
 def run_chains(
     panel: SourcePanel,
     model: ModelVariant,
@@ -474,27 +426,20 @@ def run_chains(
     *,
     overdispersion: float | None = None,
     stream_base: int = 0,
-    workers: int = 1,
 ) -> DrawStore:
     """Run ``settings.n_chains`` chains on distinct streams and assemble a DrawStore.
 
-    Chains are independent workers; the result is identical whether they run
-    serially or in parallel. ``overdispersion`` defaults to 0.1 for
-    multi-chain runs (dispersed starts) and 0 for single chains.
+    ``overdispersion`` defaults to 0.1 for multi-chain runs (dispersed
+    starts) and 0 for single chains.
     """
     if settings.n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     if overdispersion is None:
         overdispersion = 0.1 if settings.n_chains > 1 else 0.0
-    tasks = [
-        (panel, model, settings, stream_base + c, overdispersion)
+    per_chain = [
+        run_chain(panel, model, settings, stream_base + c, overdispersion=overdispersion)[0]
         for c in range(settings.n_chains)
     ]
-    if workers > 1 and settings.n_chains > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, settings.n_chains)) as pool:
-            per_chain = list(pool.map(_run_chain_task, tasks))
-    else:
-        per_chain = [_run_chain_task(t) for t in tasks]
 
     names = _recorded_quantities(model, settings.monitor)
     draws = {n: np.stack([pc[n] for pc in per_chain], axis=0) for n in names}

@@ -29,7 +29,7 @@ a ChainState is owned by exactly one chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -291,9 +291,6 @@ class SamplerSettings:
     @classmethod
     def diagnostics_protocol(cls, seed: int, monitor=frozenset({"mu"})) -> "SamplerSettings":
         return cls(seed=seed, n_iter=7000, n_burnin=2000, n_chains=5, thin=1, monitor=monitor)
-
-    def with_(self, **kw) -> "SamplerSettings":
-        return replace(self, **kw)
 
 
 def init_state(

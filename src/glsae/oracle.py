@@ -342,14 +342,6 @@ class OracleResult:
     def mu_mcse(self) -> np.ndarray:
         return self.mcse[self.block("mu")]
 
-    def random_states(self, k: int, rng: RngStream) -> list[ChainState]:
-        """k states resampled from the kept draws (for invariance checks)."""
-        W, K, _ = self.draws.shape
-        gen = rng.generator
-        idx_w = gen.integers(0, W, size=k)
-        idx_k = gen.integers(0, K, size=k)
-        return [self.layout.to_state(self.draws[w, j]) for w, j in zip(idx_w, idx_k)]
-
 
 def _initial_walkers(panel, layout, n_walkers, gen):
     I, J = layout.n_areas, layout.n_sources

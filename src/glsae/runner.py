@@ -5,8 +5,10 @@ affect the result (package version, seeds, sampler settings, grid
 selection); every emitted table carries the manifest hash, and re-running
 with the same configuration reproduces each file byte-exactly regardless
 of worker count. The evaluation driver caches one JSON file per
-(row, replicate) work item, so an interrupted run resumes where it
-stopped and still produces identical tables.
+(row, replicate) work item under ``cache/<manifest hash>/``, written as
+each item finishes, so an interrupted run resumes from the finished items
+and still produces identical tables, and a run with another configuration
+never reads them.
 
 Worker count comes from the GLSAE_WORKERS environment variable (default
 1); work items are scheduled across a process pool but every item derives
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,7 +195,7 @@ def run_fit(config: FitConfig) -> dict:
             written.append(p)
 
         if config.n_chains > 1:
-            report = rhat_report(store, "mu", DEFAULT_THRESHOLD)
+            report = rhat_report(store.draws["mu"], "mu", DEFAULT_THRESHOLD)
             rows = [
                 (fit_panel.areas[k], value, "pass" if ok else "fail")
                 for k, (name, value, ok) in enumerate(report.rows())
@@ -320,6 +323,13 @@ def _cache_path(cache_dir: Path, case: int, row: int, rep: int) -> Path:
     return cache_dir / f"case{case}_row{row:03d}_rep{rep:04d}.json"
 
 
+def _write_cached(path: Path, scores: dict[str, dict]) -> None:
+    """Write one item's scores under a temporary name, then rename it into place."""
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(json.dumps({"scores": scores}, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+    os.replace(tmp, path)
+
+
 def _load_cached(path: Path, targets) -> dict[str, dict] | None:
     if not path.exists():
         return None
@@ -339,7 +349,11 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     summaries (also used by the verification suite).
     """
     out = Path(config.out_dir)
-    cache_dir = out / "cache"
+    payload = config.to_payload()
+    from .io import manifest_hash as _mh
+
+    stamp = _mh(payload)
+    cache_dir = out / "cache" / stamp
     cache_dir.mkdir(parents=True, exist_ok=True)
     if workers is None:
         workers = worker_count()
@@ -389,15 +403,15 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
             else:
                 items.append((spec, rep, targets, config.seed, config.n_iter, config.n_burnin, config.thin))
 
-    if workers > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fresh = list(pool.map(_sim_item, items, chunksize=1))
-    else:
-        fresh = [_sim_item(it) for it in items]
-    for row, rep, scores in fresh:
-        path = _cache_path(cache_dir, config.case, row, rep)
-        path.write_text(json.dumps({"scores": scores}, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
-        cached[(row, rep)] = scores
+    with ExitStack() as stack:
+        if workers > 1 and len(items) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            fresh = pool.map(_sim_item, items, chunksize=1)
+        else:
+            fresh = map(_sim_item, items)
+        for row, rep, scores in fresh:
+            _write_cached(_cache_path(cache_dir, config.case, row, rep), scores)
+            cached[(row, rep)] = scores
 
     # aggregate medians per (row, model)
     agg: dict[str, dict[int, FitScore]] = {name: {} for name in names}
@@ -415,10 +429,6 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
         if name != base_name
     }
 
-    payload = config.to_payload()
-    from .io import manifest_hash as _mh
-
-    stamp = _mh(payload)
     written: list[Path] = []
     param_cols = list(specs[0].params)
 

@@ -33,7 +33,7 @@ log-uniform over [1e-5, 1e-2], seed 20100.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -298,7 +298,3 @@ def load_spec_table(path, case_id: int, **kw) -> list[SimSpec]:
     if not specs:
         raise ValueError(f"no specification rows in {path}")
     return specs
-
-
-def with_replicates(spec: SimSpec, n: int) -> SimSpec:
-    return replace(spec, n_replicates=n)

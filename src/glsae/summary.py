@@ -28,6 +28,7 @@ comparable across models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +73,47 @@ def source_variance(
     raise ValueError(f"variant {model.tag} has no source-level variance")
 
 
+class Collapsed(NamedTuple):
+    """Variance-conditional pieces of the collapsed Gaussian model, over leading axes."""
+
+    a: np.ndarray | None  # (..., I, J) source-level variance; None without a th level
+    s2: np.ndarray        # (..., I, J)
+    h2: np.ndarray        # (..., I)
+    ybar: np.ndarray      # (..., I)
+    A: np.ndarray         # (..., I)
+
+
+def collapse(
+    panel: SourcePanel,
+    model: ModelVariant,
+    lambda_ij,
+    lambda_i,
+    tau1_sq,
+    tau2_sq,
+) -> Collapsed:
+    """a_ij, s2, h2, ybar and A for one draw or a batch of draws.
+
+    Integrating th (where present) gives y_ij | mu_i ~ N(mu_i, s2_ij), so
+    ybar_i | mu_i ~ N(mu_i, h2_i). Shapes follow :func:`decompose`. ybar is
+    formed as the weighted total times h2, the arithmetic the sampler's
+    draws are pinned to.
+    """
+    v = panel.v
+    lambda_i = np.asarray(lambda_i, dtype=float)
+    A = lambda_i * np.asarray(tau2_sq, dtype=float)[..., None]
+    if model.has_theta_level:
+        a = source_variance(model, lambda_ij, lambda_i, tau1_sq, shape=v.shape)
+        s2 = v + a
+    else:
+        a = None
+        # the batch shape as a view; a single draw (the sampler's case) skips the costly broadcast
+        s2 = np.broadcast_to(v, A.shape[:-1] + v.shape) if A.ndim > 1 else v
+    w = 1.0 / s2
+    h2 = 1.0 / w.sum(axis=-1)
+    ybar = (panel.y * w).sum(axis=-1) * h2
+    return Collapsed(a=a, s2=s2, h2=h2, ybar=ybar, A=A)
+
+
 def decompose(
     panel: SourcePanel,
     model: ModelVariant,
@@ -85,20 +127,7 @@ def decompose(
     ``lambda_i`` has shape (..., I), ``lambda_ij`` (..., I, J) (ignored for
     the unit and one-source forms), ``tau1_sq``/``tau2_sq`` shape (...).
     """
-    v = panel.v
-    y = panel.y
-    lambda_i = np.asarray(lambda_i, dtype=float)
-    tau2 = np.asarray(tau2_sq, dtype=float)
-    A = lambda_i * tau2[..., None]
-    if model.has_theta_level:
-        a = source_variance(model, lambda_ij, lambda_i, tau1_sq, shape=v.shape)
-        s2 = v + a
-    else:
-        s2 = np.broadcast_to(v, A.shape[:-1] + v.shape).astype(float)
-    w = 1.0 / s2
-    wsum = w.sum(axis=-1)
-    h2 = 1.0 / wsum
-    ybar = (y * w).sum(axis=-1) / wsum
+    _, s2, h2, ybar, A = collapse(panel, model, lambda_ij, lambda_i, tau1_sq, tau2_sq)
     phi = A / (A + h2)
     pool_w = 1.0 / (A + h2)
     ybar_w = (ybar * pool_w).sum(axis=-1) / pool_w.sum(axis=-1)

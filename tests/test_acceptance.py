@@ -125,7 +125,7 @@ def test_criterion_3_convergence_protocol():
         seed=42, n_iter=7000, n_burnin=2000, n_chains=5, monitor=frozenset({"mu"}),
     )
     store = run_chains(data.panel, variant("m11a"), settings, overdispersion=0.1)
-    report = rhat_report(store, "mu", threshold=1.05)
+    report = rhat_report(store.draws["mu"], "mu", threshold=1.05)
     elapsed = time.time() - t0
     _report(
         "3 split-rhat-protocol",

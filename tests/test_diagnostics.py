@@ -53,7 +53,7 @@ def test_monotone_in_mean_offset():
 def test_rhat_report_from_store(small_panel):
     settings = SamplerSettings(seed=3, n_iter=3000, n_burnin=1000, n_chains=3, monitor=frozenset({"mu"}))
     store = run_chains(small_panel, variant("m12"), settings)
-    report = rhat_report(store, "mu")
+    report = rhat_report(store.draws["mu"], "mu")
     assert len(report.names) == small_panel.n_areas
     assert report.passed  # short well-behaved run still mixes on mu
     rows = list(report.rows())

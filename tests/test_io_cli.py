@@ -149,6 +149,13 @@ def test_diagnose_command(tmp_path, panel_file, capsys):
     captured = capsys.readouterr().out
     assert "parameter,split_rhat,status" in captured
     assert code == 0
+    # diagnose recomputes the fit's own report from the saved draws
+    report = tmp_path / "rhat.csv"
+    main(["diagnose", "--draws", str(out / "draws" / "m12"), "--quantity", "mu", "--out", str(report)])
+    _, diag_rows = read_table(report)
+    _, fit_rows = read_table(out / "rhat_m12.csv")
+    assert [r[0] for r in diag_rows] == [f"mu[{k}]" for k in range(8)]
+    assert [r[1:] for r in diag_rows] == [r[1:] for r in fit_rows]
 
 
 def test_evaluate_command(tmp_path, capsys):
@@ -192,12 +199,71 @@ def test_simulate_resume_from_cache(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + [str(out1)]) == 0
     # partially seed the second run's cache from the first, then resume
-    (out2 / "cache").mkdir(parents=True)
-    cache_files = sorted((out1 / "cache").glob("*.json"))
+    cache_files = sorted((out1 / "cache").rglob("*.json"))
+    assert len(cache_files) == 4
     for f in cache_files[: len(cache_files) // 2]:
-        (out2 / "cache" / f.name).write_bytes(f.read_bytes())
+        dest = out2 / f.relative_to(out1)
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        dest.write_bytes(f.read_bytes())
     assert main(args + [str(out2)]) == 0
     assert (out1 / "case6_ratio_by_spec.csv").read_bytes() == (out2 / "case6_ratio_by_spec.csv").read_bytes()
+
+
+def _run_outputs(out: Path) -> dict[str, bytes]:
+    """Bytes of the manifest and of every output it lists."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    return {name: (out / name).read_bytes() for name in ["manifest.json", *manifest["outputs"]]}
+
+
+def _toy_simulate(seed: int) -> list[str]:
+    return [
+        "simulate", "--case", "1", "--rows", "1", "--replicates", "4",
+        "--models", "m1a,m12", "--iters", "120", "--burnin", "40",
+        "--seed", str(seed), "--out",
+    ]
+
+
+def test_simulate_cache_is_keyed_by_configuration(tmp_path, monkeypatch):
+    monkeypatch.setenv("GLSAE_WORKERS", "1")
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    assert main(_toy_simulate(1) + [str(shared)]) == 0
+    assert main(_toy_simulate(2) + [str(shared)]) == 0
+    assert main(_toy_simulate(2) + [str(fresh)]) == 0
+    assert _run_outputs(shared) == _run_outputs(fresh)
+    assert len(list((shared / "cache").iterdir())) == 2  # one directory per configuration
+
+
+def test_simulate_interrupted_run_keeps_finished_items(tmp_path, monkeypatch):
+    from glsae import runner
+
+    monkeypatch.setenv("GLSAE_WORKERS", "1")
+    real_item = runner._sim_item
+    calls = []
+
+    def dies_after_two(item):
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        calls.append(item)
+        return real_item(item)
+
+    out, fresh = tmp_path / "killed", tmp_path / "fresh"
+    monkeypatch.setattr(runner, "_sim_item", dies_after_two)
+    with pytest.raises(KeyboardInterrupt):
+        main(_toy_simulate(3) + [str(out)])
+    assert len(list((out / "cache").rglob("*.json"))) == 2
+    assert not list((out / "cache").rglob("*.tmp"))
+
+    def counted(item):
+        calls.append(item)
+        return real_item(item)
+
+    calls.clear()
+    monkeypatch.setattr(runner, "_sim_item", counted)
+    assert main(_toy_simulate(3) + [str(out)]) == 0
+    assert len(calls) == 2  # only the unfinished items run again
+    monkeypatch.setattr(runner, "_sim_item", real_item)
+    assert main(_toy_simulate(3) + [str(fresh)]) == 0
+    assert _run_outputs(out) == _run_outputs(fresh)
 
 
 def test_simulate_wider_j_bootstrap_mode(tmp_path, monkeypatch):
