@@ -145,11 +145,11 @@ def _gig_neg_half(chi, psi, gen):
 
 
 def _gig_raw(order, chi, psi, gen):
-    """GIG draw for the half-integer orders the lasso conditionals use.
+    """GIG draw at one scalar ``order``, without validation.
 
-    ``order`` is a scalar; +-1/2 have exact inverse-Gaussian paths, other
-    orders defer to the validated general sampler. Callers guarantee
-    chi > 0 and psi > 0.
+    +-1/2 have exact inverse-Gaussian paths; other orders use scipy's
+    Hoermann-Leydold rejection sampler, rescaled from its two-parameter
+    form. Callers guarantee chi > 0 and psi > 0.
     """
     if order == 0.5:
         return np.maximum(_gig_pos_half(chi, psi, gen), _FLOOR)
@@ -163,10 +163,9 @@ def _gig_raw(order, chi, psi, gen):
 def sample_gig(p: GigParams, rng: RngStream):
     """Draw from GIG(order, chi, psi), elementwise over broadcast parameters.
 
-    Fast exact paths: chi = 0 reduces to Gamma(order, psi/2); psi = 0 to
-    IG(-order, chi/2); order = +-1/2 to an inverse-Gaussian transform.
-    Remaining orders fall back to the Hoermann-Leydold rejection sampler
-    (scipy ``geninvgauss``), rescaled from its two-parameter form.
+    The limits are exact: chi = 0 reduces to Gamma(order, psi/2) and
+    psi = 0 to IG(-order, chi/2). Elements with chi > 0 and psi > 0 are
+    drawn by :func:`_gig_raw`, one group per distinct order.
     """
     p.validate()
     gen = rng.generator
@@ -184,24 +183,14 @@ def sample_gig(p: GigParams, rng: RngStream):
     m_gamma = chi == 0.0
     m_invg = psi == 0.0
     m_both = ~m_gamma & ~m_invg
-    m_neg_half = m_both & (order == -0.5)
-    m_pos_half = m_both & (order == 0.5)
-    m_general = m_both & ~m_neg_half & ~m_pos_half
 
     if np.any(m_gamma):
         out[m_gamma] = gen.gamma(order[m_gamma], 2.0 / psi[m_gamma])
     if np.any(m_invg):
         out[m_invg] = 0.5 * chi[m_invg] / gen.gamma(-order[m_invg], 1.0)
-    if np.any(m_neg_half):
-        out[m_neg_half] = _gig_neg_half(chi[m_neg_half], psi[m_neg_half], gen)
-    if np.any(m_pos_half):
-        out[m_pos_half] = _gig_pos_half(chi[m_pos_half], psi[m_pos_half], gen)
-    if np.any(m_general):
-        omega = np.sqrt(chi[m_general] * psi[m_general])
-        scale = np.sqrt(chi[m_general] / psi[m_general])
-        out[m_general] = scale * _sps.geninvgauss.rvs(
-            order[m_general], omega, random_state=gen
-        )
+    for o in np.unique(order[m_both]):
+        m = m_both & (order == o)
+        out[m] = _gig_raw(o, chi[m], psi[m], gen)
 
     out = np.maximum(out, _FLOOR)
     return float(out[0]) if scalar else out

@@ -23,38 +23,32 @@ are weakly informative (the grand mean drags all areas; small th-level
 variances freeze the (th, mu) pair), which shows in the split-R-hat
 protocol.
 
-Horseshoe local variances (via the inverse-gamma scale mixture):
+Variances (one law for all of them). With r_ij = (th_ij - mu_i)^2 and
+d_i = (mu_i - eta)^2, each variance scales n normal terms whose
+quadratic form, with the variance factored out, is q:
 
-    lam_ij | else ~ IG(1, r_ij/(2 g_ij) + 1/xi_ij)
-        with r_ij = (th_ij - mu_i)^2 and g_ij the co-factor of lam_ij in
-        a_ij (g = lam_i * tau1_sq for the product form, tau1_sq for the
-        source form)
-    lam_i  | else ~ IG((J+4)/2 - 1, sum_j r_ij/(2 lam_ij tau1_sq)
-                                    + (mu_i-eta)^2/(2 tau2_sq) + 1/xi_i)
-        for the product form; when lam_i enters only the mu level (source
-        form, one-source) the th-level sum drops and the shape becomes 1.
-    xi | lam ~ IG(1, 1 + 1/lam) after each horseshoe draw.
+    variance   n                     q
+    lam_ij     1                     r_ij / g_ij,  g_ij = a_ij / lam_ij
+    lam_i      J+1 (product form)    sum_j r_ij / (lam_ij tau1_sq) + d_i / tau2_sq
+               1   (otherwise)       d_i / tau2_sq
+    tau1_sq    IJ                    sum_ij r_ij / u_ij,  u_ij = a_ij / tau1_sq
+    tau2_sq    I                     sum_i d_i / lam_i
 
-Lasso local variances:
+A horseshoe variance (the local ones of m11a, m1a and one-source, and
+every global one) is drawn through the inverse-gamma scale mixture,
 
-    lam_ij | else ~ GIG(1/2, r_ij / (g_ij), 2)
-    lam_i  | else ~ GIG((1-J)/2, sum_j r_ij/(lam_ij tau1_sq)
-                                 + (mu_i-eta)^2/tau2_sq, 2)   (product form)
-    lam_i  | else ~ GIG(1/2, (mu_i-eta)^2/tau2_sq, 2)         (source form)
+    var | else ~ IG(n/2 + 1/2, q/2 + 1/xi),  then  xi | var ~ IG(1, 1 + 1/var),
 
-A GIG chi of exactly zero with nonpositive order is a probability-zero
-event in exact arithmetic; it is clamped to 1e-30 to keep the draw valid.
+and a lasso variance (the local ones of m11b, m1b) from
 
-Global variances (horseshoe in every variant):
+    var | else ~ GIG(1 - n/2, max(q, 1e-30), 2).
 
-    tau1_sq | else ~ IG((IJ+3)/2 - 1, sum_ij r_ij/(2 u_ij) + 1/xi_t1)
-        with u_ij = a_ij / tau1_sq (the local part of the variance)
-    tau2_sq | else ~ IG((I+3)/2 - 1, sum_i (mu_i-eta)^2/(2 lam_i) + 1/xi_t2)
-    xi | tau ~ IG(1, 1 + 1/tau) after each draw.
-
-The tau rates sum over all areas/sources and the tau2 rate uses the
-mu-level residual; both follow from completing the square in the joint
-and are confirmed against the brute-force oracle.
+The clamp keeps the GIG valid when q is exactly zero, a probability-zero
+event in exact arithmetic. The draw order is lam_ij, xi_ij, lam_i, xi_i,
+tau1_sq, xi_tau1, tau2_sq, xi_tau2. The tau rates sum over all
+areas/sources and the tau2 rate uses the mu-level residual; both follow
+from completing the square in the joint and are confirmed against the
+brute-force oracle.
 """
 
 from __future__ import annotations
@@ -72,7 +66,7 @@ from .rng import RngStream
 
 _CHI_CLAMP = 1e-30
 CHECKPOINT_FORMAT = "glsae-chain-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class SamplerDivergence(RuntimeError):
@@ -126,55 +120,33 @@ def theta_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant
     return _theta_moments(_collapsed(state, panel, model), state.mu, panel)
 
 
-def _theta_residual_sq(state: ChainState) -> np.ndarray:
-    return (state.theta - state.mu[:, None]) ** 2
+def _residuals(state: ChainState, model: ModelVariant):
+    """Squared th-level residuals r (None without a th level) and mu-level residuals d."""
+    r = (state.theta - state.mu[:, None]) ** 2 if model.has_theta_level else None
+    return r, (state.mu - state.eta) ** 2
 
 
-def lambda_ij_horseshoe_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant) -> InverseGammaParams:
-    r = _theta_residual_sq(state)
+# Each form returns (n, q): the number of normal terms the variance scales
+# and their quadratic form with the variance itself factored out.
+
+
+def _lambda_ij_form(state: ChainState, model: ModelVariant, r):
     if model.theta_variance_form == "product":
         g = state.lambda_i[:, None] * state.tau1_sq
     else:
         g = state.tau1_sq
-    return InverseGammaParams(shape=1.0, rate=r / (2.0 * g) + 1.0 / state.xi_ij)
+    return 1, r / g
 
 
-def lambda_i_horseshoe_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant) -> InverseGammaParams:
-    mu_term = (state.mu - state.eta) ** 2 / (2.0 * state.tau2_sq)
+def _lambda_i_form(state: ChainState, panel: SourcePanel, model: ModelVariant, r, d):
+    q = d / state.tau2_sq
     if model.theta_variance_form == "product":
-        r = _theta_residual_sq(state)
-        th_term = (r / (2.0 * state.lambda_ij * state.tau1_sq)).sum(axis=1)
-        shape = (panel.n_sources + 4.0) / 2.0 - 1.0
-        return InverseGammaParams(shape=shape, rate=th_term + mu_term + 1.0 / state.xi_i)
+        return panel.n_sources + 1, (r / (state.lambda_ij * state.tau1_sq)).sum(axis=1) + q
     # lam_i enters only the mu level (source form and one-source)
-    return InverseGammaParams(shape=1.0, rate=mu_term + 1.0 / state.xi_i)
+    return 1, q
 
 
-def lambda_ij_lasso_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant) -> GigParams:
-    r = _theta_residual_sq(state)
-    if model.theta_variance_form == "product":
-        g = state.lambda_i[:, None] * state.tau1_sq
-    else:
-        g = state.tau1_sq
-    chi = np.maximum(r / g, _CHI_CLAMP)
-    return GigParams(order=0.5, chi=chi, psi=2.0)
-
-
-def lambda_i_lasso_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant) -> GigParams:
-    mu_term = (state.mu - state.eta) ** 2 / state.tau2_sq
-    if model.theta_variance_form == "product":
-        r = _theta_residual_sq(state)
-        chi = (r / (state.lambda_ij * state.tau1_sq)).sum(axis=1) + mu_term
-        order = (1.0 - panel.n_sources) / 2.0
-    else:
-        chi = mu_term
-        order = 0.5
-    return GigParams(order=order, chi=np.maximum(chi, _CHI_CLAMP), psi=2.0)
-
-
-def tau1_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant) -> InverseGammaParams:
-    I, J = panel.v.shape
-    r = _theta_residual_sq(state)
+def _tau1_form(state: ChainState, model: ModelVariant, r):
     form = model.theta_variance_form
     if form == "product":
         u = state.lambda_ij * state.lambda_i[:, None]
@@ -182,14 +154,50 @@ def tau1_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant)
         u = state.lambda_ij
     else:
         u = 1.0
-    rate = (r / (2.0 * u)).sum() + 1.0 / state.xi_tau1
-    return InverseGammaParams(shape=(I * J + 3.0) / 2.0 - 1.0, rate=rate)
+    return r.size, (r / u).sum()
+
+
+def _tau2_form(state: ChainState, d):
+    return d.size, (d / state.lambda_i).sum()
+
+
+def _law(prior: str, n, q, xi):
+    """Conditional law of a variance scaling n normal terms with quadratic form q."""
+    if prior == "lasso":
+        return GigParams(order=1.0 - n / 2.0, chi=np.maximum(q, _CHI_CLAMP), psi=2.0)
+    return InverseGammaParams(shape=n / 2.0 + 0.5, rate=q / 2.0 + 1.0 / xi)
+
+
+def _draw(prior: str, n, q, xi, gen):
+    """Draw a variance from its law; returns (draw, renewed xi or None for lasso)."""
+    law = _law(prior, n, q, xi)
+    if prior == "lasso":
+        return _gig_raw(law.order, law.chi, law.psi, gen), None
+    draw = _invgamma_raw(law.shape, law.rate, gen)
+    mix = xi_conditional(draw)
+    return draw, _invgamma_raw(mix.shape, mix.rate, gen)
+
+
+def lambda_ij_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
+    """IG (horseshoe) or GIG (lasso) parameters of lam_ij, each (I, J)."""
+    r, _ = _residuals(state, model)
+    return _law(model.local_prior, *_lambda_ij_form(state, model, r), state.xi_ij)
+
+
+def lambda_i_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
+    """IG (horseshoe) or GIG (lasso) parameters of lam_i, each (I,)."""
+    r, d = _residuals(state, model)
+    return _law(model.local_prior, *_lambda_i_form(state, panel, model, r, d), state.xi_i)
+
+
+def tau1_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant) -> InverseGammaParams:
+    r, _ = _residuals(state, model)
+    return _law("horseshoe", *_tau1_form(state, model, r), state.xi_tau1)
 
 
 def tau2_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant) -> InverseGammaParams:
-    I = panel.n_areas
-    rate = ((state.mu - state.eta) ** 2 / (2.0 * state.lambda_i)).sum() + 1.0 / state.xi_tau2
-    return InverseGammaParams(shape=(I + 3.0) / 2.0 - 1.0, rate=rate)
+    _, d = _residuals(state, model)
+    return _law("horseshoe", *_tau2_form(state, d), state.xi_tau2)
 
 
 def xi_conditional(lam) -> InverseGammaParams:
@@ -218,47 +226,27 @@ def update_gaussian_block(state: ChainState, panel: SourcePanel, model: ModelVar
         state.theta = mean + np.sqrt(var) * gen.standard_normal(mean.shape)
 
 
-def update_local_variances_horseshoe(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
-    if model.local_prior != "horseshoe":
-        raise ValueError(f"{model.tag} does not use horseshoe local variances")
-    gen = rng.generator
-    if model.has_local_ij:
-        cond = lambda_ij_horseshoe_conditional(state, panel, model)
-        state.lambda_ij = _invgamma_raw(cond.shape, cond.rate, gen)
-        state.xi_ij = _invgamma_raw(1.0, 1.0 + 1.0 / state.lambda_ij, gen)
-    cond = lambda_i_horseshoe_conditional(state, panel, model)
-    state.lambda_i = _invgamma_raw(cond.shape, cond.rate, gen)
-    state.xi_i = _invgamma_raw(1.0, 1.0 + 1.0 / state.lambda_i, gen)
-
-
-def update_local_variances_lasso(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
-    if model.local_prior != "lasso":
-        raise ValueError(f"{model.tag} does not use lasso local variances")
-    gen = rng.generator
-    cond = lambda_ij_lasso_conditional(state, panel, model)
-    state.lambda_ij = _gig_raw(cond.order, cond.chi, cond.psi, gen)
-    cond = lambda_i_lasso_conditional(state, panel, model)
-    state.lambda_i = _gig_raw(cond.order, cond.chi, cond.psi, gen)
-
-
 def update_local_variances(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
+    """Draw lam_ij, then lam_i, under the variant's local law (m12 keeps them at 1)."""
     prior = model.local_prior
-    if prior == "horseshoe":
-        update_local_variances_horseshoe(state, panel, model, rng)
-    elif prior == "lasso":
-        update_local_variances_lasso(state, panel, model, rng)
-    # unit form: lam fixed at 1, nothing to draw
+    if prior == "unit":
+        return
+    gen = rng.generator
+    r, d = _residuals(state, model)
+    if model.has_local_ij:
+        state.lambda_ij, state.xi_ij = _draw(prior, *_lambda_ij_form(state, model, r), state.xi_ij, gen)
+    state.lambda_i, state.xi_i = _draw(prior, *_lambda_i_form(state, panel, model, r, d), state.xi_i, gen)
 
 
 def update_global_variances(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
+    """Draw tau1_sq (with a th level), then tau2_sq, each under the horseshoe law."""
     gen = rng.generator
-    if model.has_theta_level:
-        cond = tau1_conditional(state, panel, model)
-        state.tau1_sq = float(_invgamma_raw(cond.shape, cond.rate, gen))
-        state.xi_tau1 = float(_invgamma_raw(1.0, 1.0 + 1.0 / state.tau1_sq, gen))
-    cond = tau2_conditional(state, panel, model)
-    state.tau2_sq = float(_invgamma_raw(cond.shape, cond.rate, gen))
-    state.xi_tau2 = float(_invgamma_raw(1.0, 1.0 + 1.0 / state.tau2_sq, gen))
+    r, d = _residuals(state, model)
+    if r is not None:
+        tau, xi = _draw("horseshoe", *_tau1_form(state, model, r), state.xi_tau1, gen)
+        state.tau1_sq, state.xi_tau1 = float(tau), float(xi)
+    tau, xi = _draw("horseshoe", *_tau2_form(state, d), state.xi_tau2, gen)
+    state.tau2_sq, state.xi_tau2 = float(tau), float(xi)
 
 
 def sweep(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
@@ -289,14 +277,6 @@ class DrawStore:
     def pooled(self, name: str) -> np.ndarray:
         arr = self.draws[name]
         return arr.reshape((-1,) + arr.shape[2:])
-
-    @property
-    def n_chains(self) -> int:
-        return next(iter(self.draws.values())).shape[0]
-
-    @property
-    def n_kept(self) -> int:
-        return next(iter(self.draws.values())).shape[1]
 
 
 def _check_finite(state: ChainState, model: ModelVariant, iteration: int) -> None:
@@ -339,11 +319,12 @@ def _recorded_quantities(model: ModelVariant, monitor: frozenset[str]) -> list[s
     return names
 
 
-def save_checkpoint(path, state: ChainState, iteration: int, rng: RngStream) -> None:
-    """Versioned structured-text checkpoint: state, iteration counter, RNG state."""
+def save_checkpoint(path, model: ModelVariant, state: ChainState, iteration: int, rng: RngStream) -> None:
+    """Versioned structured-text checkpoint: variant, state, iteration counter, RNG state."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
+        "variant": model.tag,
         "iteration": int(iteration),
         "state": state.to_payload(),
         "rng": {"seed": rng.seed, "stream_id": rng.stream_id, "state": rng.state()},
@@ -352,7 +333,7 @@ def save_checkpoint(path, state: ChainState, iteration: int, rng: RngStream) -> 
         json.dump(payload, fh)
 
 
-def load_checkpoint(path) -> tuple[ChainState, int, RngStream]:
+def load_checkpoint(path) -> tuple[ModelVariant, ChainState, int, RngStream]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT or payload.get("version") != CHECKPOINT_VERSION:
@@ -360,7 +341,7 @@ def load_checkpoint(path) -> tuple[ChainState, int, RngStream]:
     state = ChainState.from_payload(payload["state"])
     rng = RngStream(payload["rng"]["seed"], payload["rng"]["stream_id"])
     rng.set_state(payload["rng"]["state"])
-    return state, int(payload["iteration"]), rng
+    return ModelVariant(payload["variant"]), state, int(payload["iteration"]), rng
 
 
 def run_chain(
@@ -379,10 +360,17 @@ def run_chain(
     Deterministic given (settings.seed, stream_id). ``stop_after`` ends the
     run early after that many iterations (writing ``checkpoint_path`` if
     given); ``resume_path`` continues a checkpointed chain, and the two
-    pieces concatenate to exactly the uninterrupted run.
+    pieces concatenate to exactly the uninterrupted run. A checkpoint of
+    another variant, seed or stream, or one past ``settings.n_iter``, is
+    refused with ``ValueError``.
     """
     if resume_path is not None:
-        state, start_iter, rng = load_checkpoint(resume_path)
+        saved, state, start_iter, rng = load_checkpoint(resume_path)
+        found, wanted = (saved.tag, rng.seed, rng.stream_id), (model.tag, settings.seed, stream_id)
+        if found != wanted:
+            raise ValueError(f"checkpoint {resume_path} is (variant, seed, stream) {found}, not {wanted}")
+        if start_iter > settings.n_iter:
+            raise ValueError(f"checkpoint {resume_path} is at iteration {start_iter}, past n_iter={settings.n_iter}")
     else:
         rng = RngStream(settings.seed, stream_id)
         state = init_state(panel, model, overdispersion, rng)
@@ -412,7 +400,7 @@ def run_chain(
                 val = getattr(state, n)
                 recorded[n][k] = val
     if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, state, stop, rng)
+        save_checkpoint(checkpoint_path, model, state, stop, rng)
     if k_first is None:
         k_first = 0
         k_last = -1

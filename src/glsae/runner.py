@@ -11,16 +11,17 @@ and still produces identical tables, and a run with another configuration
 never reads them.
 
 Worker count comes from the GLSAE_WORKERS environment variable (default
-1); work items are scheduled across a process pool but every item derives
-its streams from its own coordinates, so scheduling cannot leak into the
-results.
+1; anything but an integer >= 1 is an error); work items are scheduled
+across a process pool and each is cached as soon as it finishes, but
+every item derives its streams from its own coordinates and the tables
+are built in spec order, so scheduling cannot leak into the results.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,9 +46,12 @@ _STREAM_MODEL0 = 16
 def worker_count() -> int:
     raw = os.environ.get("GLSAE_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ValueError(f"GLSAE_WORKERS must be an integer >= 1, got {raw!r}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +352,8 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     Returns a results dict with per-row aggregated scores and ratio
     summaries (also used by the verification suite).
     """
+    if workers is None:
+        workers = worker_count()
     out = Path(config.out_dir)
     payload = config.to_payload()
     from .io import manifest_hash as _mh
@@ -355,8 +361,6 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     stamp = _mh(payload)
     cache_dir = out / "cache" / stamp
     cache_dir.mkdir(parents=True, exist_ok=True)
-    if workers is None:
-        workers = worker_count()
 
     targets = tuple(parse_target(m) for m in config.models)
     base_name = config.resolved_baseline()
@@ -406,7 +410,7 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     with ExitStack() as stack:
         if workers > 1 and len(items) > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            fresh = pool.map(_sim_item, items, chunksize=1)
+            fresh = (f.result() for f in as_completed([pool.submit(_sim_item, it) for it in items]))
         else:
             fresh = map(_sim_item, items)
         for row, rep, scores in fresh:

@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines. The heavy criteria use two worker processes; the whole module
-completes in roughly ten minutes on two cores.
+completes in roughly ten minutes on two cores. Criteria 1, 4, 5 and 6
+carry the ``slow`` marker, so ``pytest -m "not slow"`` skips them for a
+quick local loop.
 """
 
 import math
@@ -10,6 +12,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import pytest
 from scipy import special, stats
 
 from glsae.diagnostics import rhat_report
@@ -67,6 +70,7 @@ def _oracle_job(args):
     return tag, idx, float(np.max(gap / tol)), bool(np.all(gap < tol))
 
 
+@pytest.mark.slow
 def test_criterion_1_oracle_equivalence():
     t0 = time.time()
     jobs = [(tag, idx) for tag in VARIANTS for idx in range(3)]
@@ -137,6 +141,7 @@ def test_criterion_3_convergence_protocol():
 # -- criteria 4-6 ------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_case1_direction(tmp_path):
     t0 = time.time()
     res = run_simulation(
@@ -158,6 +163,7 @@ def test_criterion_4_case1_direction(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_horseshoe_vs_lasso(tmp_path):
     rows = (1, 2, 3, 4, 9, 10)
     res = run_simulation(
@@ -177,6 +183,7 @@ def test_criterion_5_horseshoe_vs_lasso(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_one_vs_two_sources(tmp_path):
     rows5 = (3, 9, 12, 18)
     res5 = run_simulation(

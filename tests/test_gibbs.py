@@ -6,10 +6,8 @@ from glsae.distributions import logpdf, GigParams, InverseGammaParams
 from glsae.gibbs import (
     SamplerDivergence,
     eta_collapsed_conditional,
-    lambda_i_horseshoe_conditional,
-    lambda_i_lasso_conditional,
-    lambda_ij_horseshoe_conditional,
-    lambda_ij_lasso_conditional,
+    lambda_i_conditional,
+    lambda_ij_conditional,
     load_checkpoint,
     mu_collapsed_conditional,
     run_chain,
@@ -120,7 +118,7 @@ def test_lambda_i_horseshoe_worked_example():
         theta=np.full((2, 2), 0.35), mu=np.array([0.25, 0.25]), eta=0.25,
         tau1_sq=0.01, tau2_sq=1.0,
     )
-    cond = lambda_i_horseshoe_conditional(state, panel, model)
+    cond = lambda_i_conditional(state, panel, model)
     assert cond.shape == pytest.approx(2.0)
     assert cond.rate[0] == pytest.approx(2.0)
 
@@ -130,7 +128,7 @@ def test_lambda_ij_horseshoe_zero_residual():
     model = variant("m11a")
     state = _state_with(panel, model, theta=np.full((2, 1), 0.25), mu=np.array([0.25, 0.25]))
     state.xi_ij = np.full((2, 1), 2.0)
-    cond = lambda_ij_horseshoe_conditional(state, panel, model)
+    cond = lambda_ij_conditional(state, panel, model)
     assert cond.shape == 1.0
     assert np.allclose(cond.rate, 0.5)  # 1/xi only
 
@@ -142,7 +140,7 @@ def test_m1a_lambda_i_conditional_drops_theta_term():
         panel, model,
         theta=np.full((2, 2), 0.9), mu=np.array([0.35, 0.35]), eta=0.25, tau2_sq=0.02,
     )
-    cond = lambda_i_horseshoe_conditional(state, panel, model)
+    cond = lambda_i_conditional(state, panel, model)
     assert cond.shape == pytest.approx(1.0)
     assert cond.rate[0] == pytest.approx(0.1**2 / (2 * 0.02) + 1.0)
 
@@ -155,10 +153,10 @@ def test_lambda_lasso_worked_examples():
         panel, model,
         theta=np.full((2, 2), 0.45), mu=np.array([0.25, 0.25]), eta=0.25, tau1_sq=0.04,
     )
-    cond = lambda_ij_lasso_conditional(state, panel, model)
+    cond = lambda_ij_conditional(state, panel, model)
     assert cond.order == 0.5 and cond.psi == 2.0
     assert np.allclose(cond.chi, 1.0)
-    cond_i = lambda_i_lasso_conditional(state, panel, model)
+    cond_i = lambda_i_conditional(state, panel, model)
     assert cond_i.order == pytest.approx(-0.5)  # (1-J)/2 at J=2
 
 
@@ -169,7 +167,7 @@ def test_lambda_lasso_zero_residual_clamps_chi():
         panel, model,
         theta=np.full((2, 2), 0.25), mu=np.array([0.25, 0.25]), eta=0.25,
     )
-    cond = lambda_i_lasso_conditional(state, panel, model)
+    cond = lambda_i_conditional(state, panel, model)
     assert np.all(cond.chi == 1e-30)
     GigParams(cond.order, cond.chi, cond.psi).validate()  # valid regime after clamp
 
@@ -178,7 +176,7 @@ def test_m1b_lambda_i_is_positive_half_order():
     panel = SourcePanel(["a", "b"], ["s1", "s2"], [[0.2, 0.2], [0.2, 0.2]], [[0.01, 0.01], [0.01, 0.01]])
     model = variant("m1b")
     state = _state_with(panel, model, mu=np.array([0.35, 0.25]), eta=0.25, tau2_sq=0.01)
-    cond = lambda_i_lasso_conditional(state, panel, model)
+    cond = lambda_i_conditional(state, panel, model)
     assert cond.order == pytest.approx(0.5)
     assert cond.chi[0] == pytest.approx(0.1**2 / 0.01)
 
@@ -216,6 +214,21 @@ def test_one_source_tau2_shape():
     state = init_state(panel, model, 0.0, RngStream(1))
     cond = tau2_conditional(state, panel, model)
     assert cond.shape == pytest.approx((3 + 3) / 2 - 1)
+
+
+@pytest.mark.parametrize("pair", [("m11a", "m11b"), ("m1a", "m1b")])
+def test_horseshoe_and_lasso_share_quadratic_forms(small_panel, pair):
+    """On one state, the IG rate is the GIG chi/2 + 1/xi and the shape is n/2 + 1/2 = 3/2 - order."""
+    hs, la = (variant(t) for t in pair)
+    state = random_positive_state(small_panel, hs, np.random.default_rng(42))
+    J = small_panel.n_sources
+    n_i = J + 1 if hs.theta_variance_form == "product" else 1
+    for cond_fn, n, xi in ((lambda_ij_conditional, 1, state.xi_ij), (lambda_i_conditional, n_i, state.xi_i)):
+        ig = cond_fn(state, small_panel, hs)
+        gig = cond_fn(state, small_panel, la)
+        assert gig.order == 1.0 - n / 2.0 and gig.psi == 2.0
+        assert ig.shape == n / 2.0 + 0.5 == 1.5 - gig.order
+        assert np.array_equal(ig.rate, gig.chi / 2.0 + 1.0 / xi)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +282,7 @@ def test_conditionals_match_log_joint(small_panel, tag):
 
         if model.local_prior == "horseshoe":
             if model.has_local_ij:
-                cond = lambda_ij_horseshoe_conditional(base, panel, model)
+                cond = lambda_ij_conditional(base, panel, model)
                 _assert_slice_matches(
                     base.copy, lambda s, x: s.lambda_ij.__setitem__((0, 1), x),
                     lambda x: logpdf("inverse_gamma", InverseGammaParams(cond.shape, cond.rate[0, 1]), x),
@@ -281,20 +294,20 @@ def test_conditionals_match_log_joint(small_panel, tag):
                     lambda x: logpdf("inverse_gamma", InverseGammaParams(1.0, xc.rate[1, 0]), x),
                     panel, model, base.xi_ij[1, 0], include_aux=True,
                 )
-            cond = lambda_i_horseshoe_conditional(base, panel, model)
+            cond = lambda_i_conditional(base, panel, model)
             _assert_slice_matches(
                 base.copy, lambda s, x: s.lambda_i.__setitem__(0, x),
                 lambda x: logpdf("inverse_gamma", InverseGammaParams(cond.shape, cond.rate[0]), x),
                 panel, model, base.lambda_i[0], include_aux=True,
             )
         elif model.local_prior == "lasso":
-            cond = lambda_ij_lasso_conditional(base, panel, model)
+            cond = lambda_ij_conditional(base, panel, model)
             _assert_slice_matches(
                 base.copy, lambda s, x: s.lambda_ij.__setitem__((0, 1), x),
                 lambda x: logpdf("gig", GigParams(cond.order, cond.chi[0, 1], cond.psi), x),
                 panel, model, base.lambda_ij[0, 1], include_aux=False,
             )
-            cond = lambda_i_lasso_conditional(base, panel, model)
+            cond = lambda_i_conditional(base, panel, model)
             _assert_slice_matches(
                 base.copy, lambda s, x: s.lambda_i.__setitem__(2, x),
                 lambda x: logpdf("gig", GigParams(cond.order, cond.chi[2], cond.psi), x),
@@ -454,12 +467,43 @@ def test_checkpoint_roundtrip_state(small_panel, tmp_path):
     state = init_state(small_panel, model, 0.0, rng)
     sweep(state, small_panel, model, rng)
     path = tmp_path / "state.json"
-    save_checkpoint(path, state, 17, rng)
-    back_state, back_iter, back_rng = load_checkpoint(path)
-    assert back_iter == 17
+    save_checkpoint(path, model, state, 17, rng)
+    back_model, back_state, back_iter, back_rng = load_checkpoint(path)
+    assert back_model == model and back_iter == 17
     assert np.array_equal(back_state.mu, state.mu)
     assert back_state.tau1_sq == state.tau1_sq
     assert back_rng.state() == rng.state()
+
+
+def _resume_settings(seed=9, n_iter=40):
+    return SamplerSettings(seed=seed, n_iter=n_iter, n_burnin=10, monitor=frozenset({"mu"}))
+
+
+def _checkpoint(panel, model, stop_after, path):
+    """Checkpoint of a seed-9, stream-1 chain of 40 sweeps, taken after ``stop_after`` of them."""
+    run_chain(panel, model, _resume_settings(), stream_id=1, stop_after=stop_after, checkpoint_path=path)
+    return path
+
+
+@pytest.mark.parametrize("seed, stream_id", [(1234, 1), (9, 7)])
+def test_resume_rejects_checkpoint_of_another_stream(small_panel, tmp_path, seed, stream_id):
+    model = variant("m11a")
+    ck = _checkpoint(small_panel, model, 20, tmp_path / "chain.json")
+    with pytest.raises(ValueError, match="variant, seed, stream"):
+        run_chain(small_panel, model, _resume_settings(seed), stream_id=stream_id, resume_path=ck)
+
+
+def test_resume_rejects_checkpoint_of_another_variant(small_panel, tmp_path):
+    ck = _checkpoint(small_panel, variant("m11b"), 20, tmp_path / "chain.json")
+    with pytest.raises(ValueError, match="m11b"):
+        run_chain(small_panel, variant("m11a"), _resume_settings(), stream_id=1, resume_path=ck)
+
+
+def test_resume_rejects_checkpoint_past_n_iter(small_panel, tmp_path):
+    model = variant("m1b")
+    ck = _checkpoint(small_panel, model, 30, tmp_path / "chain.json")
+    with pytest.raises(ValueError, match="iteration 30"):
+        run_chain(small_panel, model, _resume_settings(n_iter=25), stream_id=1, resume_path=ck)
 
 
 @pytest.mark.parametrize("tag", ["m11a", "m11b", "m1a", "m1b", "m12", "one_source"])

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from glsae.cli import main
 from glsae.io import PanelFormatError, load_panel, save_panel, read_table
+from glsae.runner import _sim_item, worker_count
 
 
 def _write_panel(path, rows, header="area,source,estimate,se"):
@@ -264,6 +267,50 @@ def test_simulate_interrupted_run_keeps_finished_items(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "_sim_item", real_item)
     assert main(_toy_simulate(3) + [str(fresh)]) == 0
     assert _run_outputs(out) == _run_outputs(fresh)
+
+
+# The pool forks its workers, so they see the patched _sim_item and this path.
+_CACHE_ROOT: Path | None = None
+
+
+def _first_waits_for_second(item):
+    """Work item whose replicate 0 finishes only after replicate 1 is cached."""
+    if item[1] == 0:
+        deadline = time.monotonic() + 30.0
+        while not list(_CACHE_ROOT.rglob("*_rep0001.json")):
+            if time.monotonic() > deadline:
+                raise TimeoutError("replicate 1 was not cached while replicate 0 ran")
+            time.sleep(0.05)
+    return _sim_item(item)
+
+
+def test_simulate_pool_caches_items_as_they_finish(tmp_path, monkeypatch):
+    from glsae import runner
+
+    out, serial = tmp_path / "pool", tmp_path / "serial"
+    monkeypatch.setattr(sys.modules[__name__], "_CACHE_ROOT", out / "cache")
+    monkeypatch.setattr(runner, "_sim_item", _first_waits_for_second)
+    monkeypatch.setenv("GLSAE_WORKERS", "2")
+    args = _toy_simulate(5)
+    args[args.index("--replicates") + 1] = "2"
+    assert main(args + [str(out)]) == 0
+    monkeypatch.setattr(runner, "_sim_item", _sim_item)
+    monkeypatch.setenv("GLSAE_WORKERS", "1")
+    assert main(args + [str(serial)]) == 0
+    assert _run_outputs(out) == _run_outputs(serial)
+
+
+@pytest.mark.parametrize("raw, expected", [(None, 1), ("2", 2), ("abc", None), ("0", None)])
+def test_worker_count_reads_glsae_workers(monkeypatch, raw, expected):
+    if raw is None:
+        monkeypatch.delenv("GLSAE_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("GLSAE_WORKERS", raw)
+    if expected is None:
+        with pytest.raises(ValueError, match="GLSAE_WORKERS"):
+            worker_count()
+    else:
+        assert worker_count() == expected
 
 
 def test_simulate_wider_j_bootstrap_mode(tmp_path, monkeypatch):
