@@ -156,6 +156,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; a configuration or input mistake prints one line and returns 2."""
     args = build_parser().parse_args(argv)
     handlers = {
         "fit": _cmd_fit,
@@ -163,7 +164,11 @@ def main(argv=None) -> int:
         "diagnose": _cmd_diagnose,
         "evaluate": _cmd_evaluate,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:
+        print(f"glsae: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

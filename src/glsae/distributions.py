@@ -39,11 +39,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
 
 from .rng import RngStream
 
 _FLOOR = 1e-300
+_GIG_MAX_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -144,20 +144,104 @@ def _gig_neg_half(chi, psi, gen):
     return _wald_stable(np.sqrt(chi / psi), chi, gen)
 
 
+def _devroye_log_kernel(z, alpha, lam):
+    """Unnormalized log density of Z (see :func:`_gig_log_draws`), 0 at its mode z = 0."""
+    return -alpha * (np.cosh(z) - 1.0) - lam * (np.expm1(z) - z)
+
+
+def _devroye_log_slope(z, alpha, lam):
+    """Derivative of :func:`_devroye_log_kernel` in z."""
+    return -alpha * np.sinh(z) - lam * np.expm1(z)
+
+
+def _gig_log_draws(order, omega, root, gen):
+    """Draws of Z = log(Y) - m for Y ~ GIG(|order|, omega, omega), m the mode of log Y.
+
+    Z has the log-concave density exp(-alpha (cosh z - 1) - lam (e^z - 1 - z))
+    with lam = |order| and alpha = sqrt(omega^2 + lam^2) - lam, which
+    Devroye (2014) samples by rejection from a hat that is flat on
+    [-s', t'] and follows the tangents of the log density at t and -s
+    beyond. t and s come per element from the log density at +-1; over
+    orders 0 to 1000 and omega 1e-300 to 1e8 a draw took at most 1.35
+    candidates on average. Each round draws three uniforms for each
+    element still pending; after ``_GIG_MAX_ROUNDS`` rounds it raises
+    RuntimeError.
+    """
+    lam = np.full(omega.shape, abs(order))
+    alpha = omega * (omega / (root + lam))  # root - lam, without cancellation
+    at_one = -_devroye_log_kernel(1.0, alpha, lam)
+    at_minus_one = -_devroye_log_kernel(-1.0, alpha, lam)
+    t = np.where(
+        at_one > 2.0,
+        np.sqrt(2.0 / (alpha + lam)),
+        np.where(at_one < 0.5, np.log(4.0 / (alpha + 2.0 * lam)), 1.0),
+    )
+    s = np.where(
+        at_minus_one > 2.0,
+        np.sqrt(4.0 / (alpha * math.cosh(1.0) + lam)),
+        np.where(at_minus_one < 0.5, np.minimum(1.0 / lam, np.arccosh(1.0 + 1.0 / alpha)), 1.0),
+    )
+    eta = -_devroye_log_kernel(t, alpha, lam)
+    zeta = -_devroye_log_slope(t, alpha, lam)
+    theta = -_devroye_log_kernel(-s, alpha, lam)
+    xi = _devroye_log_slope(-s, alpha, lam)
+    p, r = 1.0 / xi, 1.0 / zeta
+    t_flat, s_flat = t - r * eta, s - p * theta
+    q = t_flat + s_flat  # area under the flat part; p and r are the tail areas
+    envelope = np.stack([alpha, lam, t, s, eta, zeta, theta, xi, p, q, r, p + q + r, t_flat, s_flat])
+
+    z = np.empty(omega.shape)
+    pending = np.arange(omega.size)
+    for _ in range(_GIG_MAX_ROUNDS):
+        alpha, lam, t, s, eta, zeta, theta, xi, p, q, r, area, t_flat, s_flat = envelope[:, pending]
+        u, v, w = gen.random((3, pending.size))
+        pick = u * area
+        flat = pick < q
+        right = ~flat & (pick < q + r)
+        x = np.where(flat, q * v - s_flat, np.where(right, t_flat - r * np.log(v), p * np.log(v) - s_flat))
+        log_hat = np.where(flat, 0.0, np.where(right, -eta - zeta * (x - t), xi * (x + s) - theta))
+        accept = np.log(w) + log_hat <= _devroye_log_kernel(x, alpha, lam)
+        z[pending[accept]] = x[accept]
+        pending = pending[~accept]
+        if pending.size == 0:
+            return z
+    raise RuntimeError(
+        f"GIG sampler at order {order} left {pending.size} draws unaccepted after "
+        f"{_GIG_MAX_ROUNDS} rejection rounds; omega in [{omega[pending].min():.6g}, {omega[pending].max():.6g}]"
+    )
+
+
 def _gig_raw(order, chi, psi, gen):
     """GIG draw at one scalar ``order``, without validation.
 
-    +-1/2 have exact inverse-Gaussian paths; other orders use scipy's
-    Hoermann-Leydold rejection sampler, rescaled from its two-parameter
-    form. Callers guarantee chi > 0 and psi > 0.
+    Orders +-1/2 take the exact inverse-Gaussian paths. Every other order
+    draws all elements at once, in numpy, with Devroye's (2014, *Stat.
+    Comput.* 24:239-246) rejection sampler on the log scale
+    (:func:`_gig_log_draws`). Its one hat serves every regime that
+    Hoermann & Leydold (2014, *Stat. Comput.* 24:547-557) treat apart
+    (ratio of uniforms with a mode shift for order >= 1 or omega > 1,
+    without one for moderate omega, and a special hat for small omega at
+    order < 1), with omega = sqrt(chi * psi) from 0 (the gamma limit) to
+    large (a narrow peak). Negative orders use X = 1 / GIG(-order, psi,
+    chi). Callers guarantee chi > 0 and psi > 0.
     """
     if order == 0.5:
         return np.maximum(_gig_pos_half(chi, psi, gen), _FLOOR)
     if order == -0.5:
         return np.maximum(_gig_neg_half(chi, psi, gen), _FLOOR)
-    omega = np.sqrt(chi * psi)
-    scale = np.sqrt(chi / psi)
-    return np.maximum(scale * _sps.geninvgauss.rvs(order, omega, random_state=gen), _FLOOR)
+    chi, psi = np.broadcast_arrays(np.asarray(chi, dtype=float), np.asarray(psi, dtype=float))
+    omega = (np.sqrt(chi) * np.sqrt(psi)).reshape(-1)  # chi * psi may underflow
+    root = np.hypot(omega, abs(order))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = _gig_log_draws(order, omega, root, gen).reshape(chi.shape)
+        root = root.reshape(chi.shape)
+        # exp(m) for GIG(|order|, chi, psi) is (|order| + root) / psi; the
+        # reflected law GIG(-order, psi, chi) of 1 / X has chi in place of psi
+        if order < 0:
+            out = chi / (root - order) * np.exp(-z)
+        else:
+            out = (root + order) / psi * np.exp(z)
+    return np.maximum(out, _FLOOR)
 
 
 def sample_gig(p: GigParams, rng: RngStream):

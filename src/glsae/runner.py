@@ -8,7 +8,9 @@ of worker count. The evaluation driver caches one JSON file per
 (row, replicate) work item under ``cache/<manifest hash>/``, written as
 each item finishes, so an interrupted run resumes from the finished items
 and still produces identical tables, and a run with another configuration
-never reads them.
+never reads them. Cache directories of other configurations are named on
+stderr and left in place. The model names, the baseline and the grid are
+checked before the output directory is created.
 
 Worker count comes from the GLSAE_WORKERS environment variable (default
 1; anything but an integer >= 1 is an error); work items are scheduled
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -359,8 +362,6 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     from .io import manifest_hash as _mh
 
     stamp = _mh(payload)
-    cache_dir = out / "cache" / stamp
-    cache_dir.mkdir(parents=True, exist_ok=True)
 
     targets = tuple(parse_target(m) for m in config.models)
     base_name = config.resolved_baseline()
@@ -369,6 +370,8 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
         raise ValueError(f"baseline {base_name!r} is not among the fitted models {names}")
     if len(set(names)) != len(names):
         raise ValueError("duplicate model names")
+    for target in targets:
+        variant(target.tag)  # raises on an unknown model name
 
     if config.v_panel:
         observed = load_panel(config.v_panel).v
@@ -396,6 +399,16 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
         specs = [s for s in specs if s.row in wanted]
         if not specs:
             raise ValueError(f"row selection {sorted(wanted)} matched nothing")
+
+    cache_dir = out / "cache" / stamp
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    stale = sorted(p.name for p in cache_dir.parent.iterdir() if p.is_dir() and p != cache_dir)
+    if stale:
+        print(
+            f"glsae: note: {out / 'cache'} keeps {len(stale)} stale configuration(s), not removed: "
+            + ", ".join(stale),
+            file=sys.stderr,
+        )
 
     items = []
     cached: dict[tuple[int, int], dict[str, dict]] = {}

@@ -7,6 +7,7 @@ from scipy import special, stats
 from glsae.distributions import (
     GigParams,
     InverseGammaParams,
+    _gig_raw,
     logpdf,
     sample_gig,
     sample_halfcauchy_sq,
@@ -85,8 +86,9 @@ def test_gig_regime_validation():
         sample_gig(GigParams(0.5, 0.0, 0.0), RngStream(10))
 
 
-@pytest.mark.parametrize("order", [-2.0, -0.5, 0.5, 3.0])
-@pytest.mark.parametrize("chi,psi", [(0.5, 2.0), (3.0, 0.5)])
+@pytest.mark.parametrize("order", [-2.0, -1.5, -1.0, -0.5, 0.5, 3.0])
+# the last two: the Gibbs sampler's chi clamp, and a sharp peak
+@pytest.mark.parametrize("chi,psi", [(0.5, 2.0), (3.0, 0.5), (1e-30, 2.0), (1e6, 2.0)])
 def test_gig_regime_coverage_positive_finite(order, chi, psi):
     draws = sample_gig(GigParams(order, chi, psi * np.ones(2000)), RngStream(11))
     assert np.all(draws > 0) and np.all(np.isfinite(draws))
@@ -119,13 +121,30 @@ def test_ks_inverse_gamma():
     assert stats.kstest(draws, stats.invgamma(2.5, scale=1.5).cdf).pvalue > KS_ALPHA
 
 
-@pytest.mark.parametrize("order,chi,psi", [(-0.5, 1.2, 0.7), (0.5, 0.8, 2.0), (1.7, 0.9, 1.1)])
+@pytest.mark.parametrize("order,chi,psi", [
+    (-0.5, 1.2, 0.7), (0.5, 0.8, 2.0), (1.7, 0.9, 1.1),
+    # m11b's lambda_i orders at J = 3, 4 and 5
+    (-1.0, 3.0, 2.0), (-1.5, 5.0, 2.0), (-2.0, 40.0, 2.0),
+    # the Hoermann-Leydold regimes: small omega with order < 1, and no mode shift
+    (0.3, 0.01, 0.5), (0.3, 0.7, 0.7),
+])
 def test_ks_gig(order, chi, psi):
     # smaller n: geninvgauss.cdf integrates numerically and dominates runtime
     draws = sample_gig(GigParams(order, chi, psi * np.ones(50_000)), RngStream(16))
     omega = math.sqrt(chi * psi)
     scale = math.sqrt(chi / psi)
     assert stats.kstest(draws, stats.geninvgauss(order, omega, scale=scale).cdf).pvalue > KS_ALPHA
+
+
+class _NanUniforms:
+    def random(self, size):
+        return np.full(size, np.nan)
+
+
+def test_gig_rejection_loop_is_bounded():
+    # NaN uniforms reject every candidate; the sampler must raise, not spin
+    with pytest.raises(RuntimeError, match=r"order -1\.5 .*omega in \[2, 2\]"):
+        _gig_raw(-1.5, np.full(3, 2.0), 2.0, _NanUniforms())
 
 
 def test_ks_halfcauchy():
@@ -139,6 +158,9 @@ def test_fixed_stream_is_bit_identical():
     da = sample_normal(np.zeros(10_000), 1.0, a)
     db = sample_normal(np.zeros(10_000), 1.0, b)
     assert np.array_equal(da, db)
+    ga = sample_gig(GigParams(-1.5, np.linspace(0.1, 5.0, 1000), 2.0), RngStream(99, 5))
+    gb = sample_gig(GigParams(-1.5, np.linspace(0.1, 5.0, 1000), 2.0), RngStream(99, 5))
+    assert np.array_equal(ga, gb)
     # distinct stream ids diverge
     c = RngStream(99, 6)
     dc = sample_normal(np.zeros(10_000), 1.0, c)

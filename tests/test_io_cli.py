@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -125,12 +127,12 @@ def test_fit_command_outputs_and_determinism(tmp_path, panel_file):
         assert hashlib.sha256((out1 / rel).read_bytes()).hexdigest() == digest
 
 
-def test_fit_one_source_needs_source_flag(tmp_path, panel_file):
-    with pytest.raises(ValueError, match="--source"):
-        main([
-            "fit", "--panel", str(panel_file), "--model", "one-source",
-            "--iters", "50", "--burnin", "10", "--seed", "1", "--out", str(tmp_path / "x"),
-        ])
+def test_fit_one_source_needs_source_flag(tmp_path, panel_file, capsys):
+    assert main([
+        "fit", "--panel", str(panel_file), "--model", "one-source",
+        "--iters", "50", "--burnin", "10", "--seed", "1", "--out", str(tmp_path / "x"),
+    ]) == 2
+    assert "--source" in _one_error_line(capsys)
     out = tmp_path / "mbr"
     code = main([
         "fit", "--panel", str(panel_file), "--model", "one-source", "--source", "brfss",
@@ -226,11 +228,17 @@ def _toy_simulate(seed: int) -> list[str]:
     ]
 
 
-def test_simulate_cache_is_keyed_by_configuration(tmp_path, monkeypatch):
+def test_simulate_cache_is_keyed_by_configuration(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GLSAE_WORKERS", "1")
     shared, fresh = tmp_path / "shared", tmp_path / "fresh"
     assert main(_toy_simulate(1) + [str(shared)]) == 0
+    assert capsys.readouterr().err == ""
+    seed1 = json.loads((shared / "manifest.json").read_text())["manifest_hash"]
     assert main(_toy_simulate(2) + [str(shared)]) == 0
+    # the seed-1 directory is reported on one stderr line and kept
+    assert capsys.readouterr().err.splitlines() == [
+        f"glsae: note: {shared / 'cache'} keeps 1 stale configuration(s), not removed: {seed1}"
+    ]
     assert main(_toy_simulate(2) + [str(fresh)]) == 0
     assert _run_outputs(shared) == _run_outputs(fresh)
     assert len(list((shared / "cache").iterdir())) == 2  # one directory per configuration
@@ -313,7 +321,7 @@ def test_worker_count_reads_glsae_workers(monkeypatch, raw, expected):
         assert worker_count() == expected
 
 
-def test_simulate_wider_j_bootstrap_mode(tmp_path, monkeypatch):
+def test_simulate_wider_j_bootstrap_mode(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GLSAE_WORKERS", "1")
     out = tmp_path / "j4"
     code = main([
@@ -325,20 +333,59 @@ def test_simulate_wider_j_bootstrap_mode(tmp_path, monkeypatch):
     header, rows = read_table(out / "case1_ratio_by_spec.csv")
     assert len(rows) == 1
     # fixed-variance mode cannot serve J=4 panels
-    with pytest.raises(ValueError, match="bootstrap"):
-        main([
-            "simulate", "--case", "1", "--rows", "1", "--replicates", "1",
-            "--models", "m1a,m12", "--sources", "4",
-            "--iters", "100", "--burnin", "20", "--seed", "12",
-            "--out", str(tmp_path / "j4bad"),
-        ])
+    capsys.readouterr()
+    assert main([
+        "simulate", "--case", "1", "--rows", "1", "--replicates", "1",
+        "--models", "m1a,m12", "--sources", "4",
+        "--iters", "100", "--burnin", "20", "--seed", "12",
+        "--out", str(tmp_path / "j4bad"),
+    ]) == 2
+    assert "bootstrap" in _one_error_line(capsys)
+    assert not (tmp_path / "j4bad").exists()
 
 
-def test_simulate_rejects_unknown_baseline(tmp_path):
-    with pytest.raises(ValueError, match="baseline"):
-        main([
-            "simulate", "--case", "1", "--rows", "1", "--replicates", "1",
-            "--models", "m1a,m12", "--baseline", "m11a",
-            "--iters", "100", "--burnin", "20", "--seed", "3",
-            "--out", str(tmp_path / "x"),
-        ])
+def _one_error_line(capsys) -> str:
+    """The CLI's stderr, asserted to be a single `glsae: error:` line."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("glsae: error: "), lines
+    return lines[0]
+
+
+def test_simulate_rejects_unknown_baseline(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main([
+        "simulate", "--case", "1", "--rows", "1", "--replicates", "1",
+        "--models", "m1a,m12", "--baseline", "m11a",
+        "--iters", "100", "--burnin", "20", "--seed", "3",
+        "--out", str(out),
+    ]) == 2
+    assert "baseline 'm11a'" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("models, message", [
+    ("m1a,m12,m1a", "duplicate model names"),
+    ("m1a,m12,zzz", "unknown variant tag 'zzz'"),
+])
+def test_simulate_rejects_bad_model_list_before_writing(tmp_path, capsys, models, message):
+    out = tmp_path / "x"
+    assert main(_toy_simulate(3) + [str(out), "--models", models, "--baseline", "m1a"]) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_simulate_reports_bad_worker_count_in_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GLSAE_WORKERS", "abc")
+    out = tmp_path / "x"
+    assert main(_toy_simulate(3) + [str(out)]) == 2
+    assert "GLSAE_WORKERS must be an integer >= 1, got 'abc'" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    import glsae
+
+    src = str(Path(glsae.__file__).resolve().parents[1])
+    code = "import sys, glsae.cli; sys.exit('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0
