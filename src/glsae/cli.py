@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"glsae: error: {exc}", file=sys.stderr)
         return 2
 

@@ -279,44 +279,45 @@ class DrawStore:
         return arr.reshape((-1,) + arr.shape[2:])
 
 
-def _check_finite(state: ChainState, model: ModelVariant, iteration: int) -> None:
-    probe = float(state.mu.sum()) + state.eta + state.tau2_sq + float(state.lambda_i.sum())
-    if model.has_theta_level:
-        probe += float(state.theta.sum()) + state.tau1_sq
-        if state.lambda_ij is not None:
-            probe += float(state.lambda_ij.sum())
+# The sampled quantities of a chain, in recording order; a variant's
+# absent fields are None in its state.
+_QUANTITIES = ("mu", "theta", "eta", "lambda_ij", "lambda_i", "tau1_sq", "tau2_sq")
+_VARIANCES = ("lambda_ij", "lambda_i", "tau1_sq", "tau2_sq")
+
+
+def _check_finite(state: ChainState, iteration: int) -> None:
+    # Runs once per sweep, so the probe reads the instance dict and calls
+    # np.add.reduce, which skips ndarray.sum's Python-level wrapper.
+    values = state.__dict__
+    probe = 0.0
+    for name in _QUANTITIES:
+        val = values[name]
+        if isinstance(val, float):
+            probe += val
+        elif val is not None:
+            probe += float(np.add.reduce(val, None))
     if math.isfinite(probe):
         return
-    for name in ("theta", "mu", "lambda_ij", "lambda_i"):
-        arr = getattr(state, name)
-        if arr is None:
+    for name in _QUANTITIES:
+        val = values[name]
+        if val is None:
             continue
-        bad = np.argwhere(~np.isfinite(np.asarray(arr)))
+        bad = np.argwhere(~np.isfinite(np.atleast_1d(val)))
         if bad.size:
-            raise SamplerDivergence(f"non-finite {name} at coordinate {tuple(bad[0])} on iteration {iteration}")
-    for name in ("eta", "tau1_sq", "tau2_sq"):
-        val = getattr(state, name)
-        if val is not None and not math.isfinite(val):
-            raise SamplerDivergence(f"non-finite {name} on iteration {iteration}")
+            where = f" at coordinate {tuple(bad[0].tolist())}" if np.ndim(val) else ""
+            raise SamplerDivergence(f"non-finite {name}{where} on iteration {iteration}")
     raise SamplerDivergence(f"non-finite state on iteration {iteration}")
 
 
 def _recorded_quantities(model: ModelVariant, monitor: frozenset[str]) -> list[str]:
-    names: list[str] = []
-    if "mu" in monitor:
-        names.append("mu")
-    if "theta" in monitor and model.has_theta_level:
-        names.append("theta")
-    if "eta" in monitor:
-        names.append("eta")
-    if "variances" in monitor or "phi" in monitor:
-        if model.has_local_ij:
-            names.append("lambda_ij")
-        names.append("lambda_i")
-        if model.has_theta_level:
-            names.append("tau1_sq")
-        names.append("tau2_sq")
-    return names
+    wanted = set(monitor)
+    if monitor & {"variances", "phi"}:
+        wanted.update(_VARIANCES)
+    if not model.has_theta_level:
+        wanted -= {"theta", "tau1_sq"}
+    if not model.has_local_ij:
+        wanted.discard("lambda_ij")  # m12 keeps lam_ij at 1
+    return [n for n in _QUANTITIES if n in wanted]
 
 
 def save_checkpoint(path, model: ModelVariant, state: ChainState, iteration: int, rng: RngStream) -> None:
@@ -378,18 +379,13 @@ def run_chain(
     stop = settings.n_iter if stop_after is None else min(stop_after, settings.n_iter)
 
     names = _recorded_quantities(model, settings.monitor)
-    I, J = panel.n_areas, panel.n_sources
-    shapes = {
-        "mu": (I,), "theta": (I, J), "eta": (), "lambda_ij": (I, J),
-        "lambda_i": (I,), "tau1_sq": (), "tau2_sq": (),
-    }
-    recorded = {n: np.zeros((settings.n_kept,) + shapes[n]) for n in names}
+    recorded = {n: np.zeros((settings.n_kept,) + np.shape(getattr(state, n))) for n in names}
 
     k_first = None
     k_last = -1
     for it in range(start_iter, stop):
         sweep(state, panel, model, rng)
-        _check_finite(state, model, it)
+        _check_finite(state, it)
         offset = it - settings.n_burnin
         if offset >= 0 and offset % settings.thin == 0:
             k = offset // settings.thin
@@ -444,7 +440,7 @@ def run_chains(
         )
         draws["phi"] = dec.phi
     if "variances" not in settings.monitor:
-        for n in ("lambda_ij", "lambda_i", "tau1_sq", "tau2_sq"):
+        for n in _VARIANCES:
             draws.pop(n, None)
 
     return DrawStore(

@@ -29,7 +29,7 @@ a ChainState is owned by exactly one chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -183,7 +183,8 @@ class ChainState:
     fixed at 1 and never updated; for one_source the th level is absent
     (``theta`` and ``lambda_ij`` are None) and ``tau2_sq`` plays the single
     global variance. ``xi_*`` are the inverse-gamma mixing variables, present
-    only for horseshoe-distributed variances.
+    only for horseshoe-distributed variances. :func:`unit_state` decides
+    which fields a variant carries.
     """
 
     mu: np.ndarray
@@ -198,61 +199,48 @@ class ChainState:
     xi_tau1: float | None = None
     xi_tau2: float = 1.0
 
-    def copy(self) -> "ChainState":
-        def cp(a):
-            return None if a is None else np.array(a, dtype=float)
-
-        return ChainState(
-            mu=cp(self.mu),
-            eta=float(self.eta),
-            lambda_i=cp(self.lambda_i),
-            tau1_sq=float(self.tau1_sq),
-            tau2_sq=float(self.tau2_sq),
-            theta=cp(self.theta),
-            lambda_ij=cp(self.lambda_ij),
-            xi_ij=cp(self.xi_ij),
-            xi_i=cp(self.xi_i),
-            xi_tau1=None if self.xi_tau1 is None else float(self.xi_tau1),
-            xi_tau2=float(self.xi_tau2),
-        )
-
     def to_payload(self) -> dict[str, Any]:
         """JSON-safe dict; floats survive the round trip bit-exactly."""
-        def enc(a):
-            return None if a is None else np.asarray(a, dtype=float).tolist()
+        def enc(v):
+            return None if v is None else np.asarray(v, dtype=float).tolist()
 
-        return {
-            "mu": enc(self.mu),
-            "eta": float(self.eta),
-            "lambda_i": enc(self.lambda_i),
-            "tau1_sq": float(self.tau1_sq),
-            "tau2_sq": float(self.tau2_sq),
-            "theta": enc(self.theta),
-            "lambda_ij": enc(self.lambda_ij),
-            "xi_ij": enc(self.xi_ij),
-            "xi_i": enc(self.xi_i),
-            "xi_tau1": None if self.xi_tau1 is None else float(self.xi_tau1),
-            "xi_tau2": float(self.xi_tau2),
-        }
+        return {f.name: enc(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "ChainState":
-        def dec(a):
-            return None if a is None else np.array(a, dtype=float)
+        def dec(v):
+            if v is None:
+                return None
+            return np.array(v, dtype=float) if isinstance(v, list) else float(v)
 
-        return cls(
-            mu=dec(payload["mu"]),
-            eta=float(payload["eta"]),
-            lambda_i=dec(payload["lambda_i"]),
-            tau1_sq=float(payload["tau1_sq"]),
-            tau2_sq=float(payload["tau2_sq"]),
-            theta=dec(payload["theta"]),
-            lambda_ij=dec(payload["lambda_ij"]),
-            xi_ij=dec(payload["xi_ij"]),
-            xi_i=dec(payload["xi_i"]),
-            xi_tau1=payload["xi_tau1"] if payload["xi_tau1"] is None else float(payload["xi_tau1"]),
-            xi_tau2=float(payload["xi_tau2"]),
-        )
+        return cls(**{f.name: dec(payload[f.name]) for f in fields(cls)})
+
+
+def unit_state(model: ModelVariant, n_areas: int, n_sources: int) -> ChainState:
+    """The variant's state layout: means at 0, every variance and mixing variable at 1.
+
+    This is the one place that decides which fields a variant carries:
+    th and lam_ij exist with a th level (lam_ij stays at 1 for m12), and
+    the xi of a variance exists when that variance is horseshoe-distributed.
+    """
+    I, J = n_areas, n_sources
+    theta_level = model.has_theta_level
+    if not theta_level and J != 1:
+        raise ValueError("one_source needs a single-source panel; use SourcePanel.select_source")
+    horseshoe = model.local_prior == "horseshoe"
+    return ChainState(
+        mu=np.zeros(I),
+        eta=0.0,
+        lambda_i=np.ones(I),
+        tau1_sq=1.0,
+        tau2_sq=1.0,
+        theta=np.zeros((I, J)) if theta_level else None,
+        lambda_ij=np.ones((I, J)) if theta_level else None,
+        xi_ij=np.ones((I, J)) if (horseshoe and model.has_local_ij) else None,
+        xi_i=np.ones(I) if (horseshoe and model.updates_lambda_i) else None,
+        xi_tau1=1.0 if theta_level else None,
+        xi_tau2=1.0,
+    )
 
 
 MONITORABLE = frozenset({"mu", "theta", "phi", "variances", "eta"})
@@ -299,7 +287,7 @@ def init_state(
     overdispersion: float,
     rng: RngStream,
 ) -> ChainState:
-    """Data-anchored starting state.
+    """Data-anchored starting state, laid out by :func:`unit_state`.
 
     th starts at the observations, mu at the precision-weighted source
     mean per area, eta at the mean of mu; all variances start at 1. A
@@ -309,39 +297,14 @@ def init_state(
     if overdispersion < 0:
         raise ValueError("overdispersion must be >= 0")
     y, v = panel.y, panel.v
-    I, J = y.shape
+    state = unit_state(model, *y.shape)
     w = 1.0 / v
-    mu = (y * w).sum(axis=1) / w.sum(axis=1)
-    eta = float(mu.mean())
+    state.mu = (y * w).sum(axis=1) / w.sum(axis=1)
+    state.eta = float(state.mu.mean())
     if overdispersion > 0:
         gen = rng.generator
-        mu = mu + gen.normal(0.0, overdispersion, size=I)
-        eta = eta + float(gen.normal(0.0, overdispersion))
-
-    horseshoe_local = model.local_prior == "horseshoe"
+        state.mu = state.mu + gen.normal(0.0, overdispersion, size=state.mu.shape)
+        state.eta = state.eta + float(gen.normal(0.0, overdispersion))
     if model.has_theta_level:
-        theta = y.copy()
-        lambda_ij = np.ones((I, J))
-        xi_ij = np.ones((I, J)) if (horseshoe_local and model.has_local_ij) else None
-        xi_tau1 = 1.0
-    else:
-        if J != 1:
-            raise ValueError("one_source needs a single-source panel; use SourcePanel.select_source")
-        theta = None
-        lambda_ij = None
-        xi_ij = None
-        xi_tau1 = None
-
-    return ChainState(
-        mu=mu,
-        eta=eta,
-        lambda_i=np.ones(I),
-        tau1_sq=1.0,
-        tau2_sq=1.0,
-        theta=theta,
-        lambda_ij=lambda_ij,
-        xi_ij=xi_ij,
-        xi_i=np.ones(I) if (horseshoe_local and model.updates_lambda_i) else None,
-        xi_tau1=xi_tau1,
-        xi_tau2=1.0,
-    )
+        state.theta = y.copy()
+    return state

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainState, ModelVariant, SourcePanel, variant as _variant
+from .model import ChainState, ModelVariant, SourcePanel, unit_state, variant as _variant
 from .rng import RngStream
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -281,23 +281,10 @@ class CoordLayout:
 
     def to_state(self, z: np.ndarray) -> ChainState:
         """Materialize a single coordinate vector as a ChainState (xi set to 1)."""
-        parts = self.split(z)
-        model = self.model
-        I, J = self.n_areas, self.n_sources
-        horseshoe = model.local_prior == "horseshoe"
-        return ChainState(
-            mu=parts["mu"].copy(),
-            eta=float(parts["eta"]),
-            lambda_i=parts.get("lambda_i", np.ones(I)).copy(),
-            tau1_sq=float(parts.get("tau1_sq", 1.0)),
-            tau2_sq=float(parts["tau2_sq"]),
-            theta=parts["theta"].copy() if "theta" in parts else None,
-            lambda_ij=parts["lambda_ij"].copy() if "lambda_ij" in parts else (np.ones((I, J)) if model.theta_variance_form == "unit" else None),
-            xi_ij=np.ones((I, J)) if (horseshoe and model.has_local_ij) else None,
-            xi_i=np.ones(I) if (horseshoe and model.updates_lambda_i) else None,
-            xi_tau1=1.0 if model.has_theta_level else None,
-            xi_tau2=1.0,
-        )
+        state = unit_state(self.model, self.n_areas, self.n_sources)
+        for name, block in self.split(z).items():
+            setattr(state, name, block.copy() if block.ndim else float(block))
+        return state
 
 
 def _log_post_z(z: np.ndarray, panel: SourcePanel, layout: CoordLayout) -> np.ndarray:

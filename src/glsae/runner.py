@@ -5,12 +5,14 @@ affect the result (package version, seeds, sampler settings, grid
 selection); every emitted table carries the manifest hash, and re-running
 with the same configuration reproduces each file byte-exactly regardless
 of worker count. The evaluation driver caches one JSON file per
-(row, replicate) work item under ``cache/<manifest hash>/``, written as
-each item finishes, so an interrupted run resumes from the finished items
-and still produces identical tables, and a run with another configuration
-never reads them. Cache directories of other configurations are named on
-stderr and left in place. The model names, the baseline and the grid are
-checked before the output directory is created.
+(row, replicate) work item under ``cache/<key>/``, written as each item
+finishes, so an interrupted run resumes from the finished items and still
+produces identical tables. The key hashes the manifest payload together
+with a digest of the package source and the numpy version, so a run with
+another configuration or other code never reads them. Cache directories
+of other keys are named on stderr and left in place. Both commands check
+their inputs (models, baseline, grid, panel) before the output directory
+is created.
 
 Worker count comes from the GLSAE_WORKERS environment variable (default
 1; anything but an integer >= 1 is an error); work items are scheduled
@@ -21,6 +23,7 @@ are built in spec order, so scheduling cannot leak into the results.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -34,7 +37,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import DEFAULT_THRESHOLD, rhat_report
 from .gibbs import DrawStore, run_chains
-from .io import load_panel, sha256_file, write_manifest, write_table
+from .io import load_panel, manifest_hash, sha256_file, write_manifest, write_table
 from .metrics import FitScore, MEASURES, aggregate, best_model_counts, discrepancy_ratio, score
 from .model import SamplerSettings, SourcePanel, variant
 from .rng import RngStream, derive_stream_id
@@ -135,28 +138,32 @@ def _save_draws(store: DrawStore, out: Path, tag: str) -> list[Path]:
 
 
 def run_fit(config: FitConfig) -> dict:
-    """Fit the requested variants on one panel; returns the manifest payload."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Fit the requested variants on one panel; returns the manifest payload.
+
+    The panel, the sampler settings and every model (with its panel
+    columns) are checked before the output directory is created.
+    """
     panel = load_panel(config.panel_path)
     payload = config.to_payload()
-    from .io import manifest_hash as _mh
-
-    stamp = _mh(payload)
+    stamp = manifest_hash(payload)
+    settings = SamplerSettings(
+        seed=config.seed,
+        n_iter=config.n_iter,
+        n_burnin=config.n_burnin,
+        n_chains=config.n_chains,
+        thin=config.thin,
+        monitor=frozenset({"mu", "eta", "variances", "phi"}),
+    )
+    fits = []
+    for tag in config.models:
+        model = variant(tag)
+        fits.append((model, _fit_panel_for(model, panel, config.source)))
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     long_rows = []
 
-    for m_idx, tag in enumerate(config.models):
-        model = variant(tag)
-        fit_panel = _fit_panel_for(model, panel, config.source)
-        settings = SamplerSettings(
-            seed=config.seed,
-            n_iter=config.n_iter,
-            n_burnin=config.n_burnin,
-            n_chains=config.n_chains,
-            thin=config.thin,
-            monitor=frozenset({"mu", "eta", "variances", "phi"}),
-        )
+    for m_idx, (model, fit_panel) in enumerate(fits):
         store = run_chains(
             fit_panel,
             model,
@@ -349,6 +356,14 @@ def _load_cached(path: Path, targets) -> dict[str, dict] | None:
     return None
 
 
+def _code_digest() -> str:
+    """SHA-256 over the bytes of every ``glsae/*.py`` file, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     """Generate, fit and score a case grid; writes the ratio tables.
 
@@ -359,9 +374,7 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
         workers = worker_count()
     out = Path(config.out_dir)
     payload = config.to_payload()
-    from .io import manifest_hash as _mh
-
-    stamp = _mh(payload)
+    stamp = manifest_hash(payload)
 
     targets = tuple(parse_target(m) for m in config.models)
     base_name = config.resolved_baseline()
@@ -400,7 +413,10 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
         if not specs:
             raise ValueError(f"row selection {sorted(wanted)} matched nothing")
 
-    cache_dir = out / "cache" / stamp
+    # the cache key also covers the code and numpy, so scores from another
+    # sampler are never reused; the tables keep the manifest stamp
+    cache_key = {**payload, "code_sha256": _code_digest(), "numpy": np.__version__}
+    cache_dir = out / "cache" / manifest_hash(cache_key)
     cache_dir.mkdir(parents=True, exist_ok=True)
     stale = sorted(p.name for p in cache_dir.parent.iterdir() if p.is_dir() and p != cache_dir)
     if stale:

@@ -46,16 +46,16 @@ MIXTURE_SMALL_SCALE = 0.05
 
 @dataclass(frozen=True)
 class LevelSpec:
-    """Variance law for one level: outlier, mixture, or a fixed scale."""
+    """Variance law for one level: outlier or mixture."""
 
-    kind: str  # outlier | mixture | fixed
+    kind: str  # outlier | mixture
     p: float = 0.0
     tau11: float = 0.0
     tau21: float = 0.0
     tau22: float = MIXTURE_SMALL_SCALE
 
     def __post_init__(self):
-        if self.kind not in ("outlier", "mixture", "fixed"):
+        if self.kind not in ("outlier", "mixture"):
             raise ValueError(f"unknown level kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("probability must be in [0, 1]")
@@ -64,13 +64,10 @@ class LevelSpec:
 
     def draw_variance(self, size, gen) -> tuple[np.ndarray, np.ndarray]:
         """Per-unit variances and the Bernoulli flags that produced them."""
+        delta = (gen.random(size) < self.p).astype(np.int64)
         if self.kind == "outlier":
-            delta = (gen.random(size) < self.p).astype(np.int64)
             return delta * self.tau11**2, delta
-        if self.kind == "mixture":
-            delta = (gen.random(size) < self.p).astype(np.int64)
-            return delta * self.tau21**2 + (1 - delta) * self.tau22**2, delta
-        return np.full(size, self.tau11**2), np.ones(size, dtype=np.int64)
+        return delta * self.tau21**2 + (1 - delta) * self.tau22**2, delta
 
 
 @dataclass(frozen=True)

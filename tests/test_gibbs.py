@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -260,11 +262,12 @@ def test_conditionals_match_log_joint(small_panel, tag):
     gen = np.random.default_rng(777)
     for trial in range(20):
         base = random_positive_state(panel, model, gen)
+        fresh = lambda: copy.deepcopy(base)  # noqa: E731
 
         if model.has_theta_level:
             mean, var = theta_conditional(base, panel, model)
             _assert_slice_matches(
-                base.copy, lambda s, x: s.theta.__setitem__((0, 0), x),
+                fresh, lambda s, x: s.theta.__setitem__((0, 0), x),
                 lambda x: logpdf("normal", (mean[0, 0], var[0, 0]), x),
                 panel, model, base.theta[0, 0] + 0.3, include_aux=False,
             )
@@ -275,7 +278,7 @@ def test_conditionals_match_log_joint(small_panel, tag):
             # Gaussian in test_collapsed_conditionals_match_joint_gaussian
             mean, var = mu_collapsed_conditional(base, panel, model)
             _assert_slice_matches(
-                base.copy, lambda s, x: s.mu.__setitem__(1, x),
+                fresh, lambda s, x: s.mu.__setitem__(1, x),
                 lambda x: logpdf("normal", (mean[1], var[1]), x),
                 panel, model, base.mu[1] + 0.2, include_aux=False,
             )
@@ -284,32 +287,32 @@ def test_conditionals_match_log_joint(small_panel, tag):
             if model.has_local_ij:
                 cond = lambda_ij_conditional(base, panel, model)
                 _assert_slice_matches(
-                    base.copy, lambda s, x: s.lambda_ij.__setitem__((0, 1), x),
+                    fresh, lambda s, x: s.lambda_ij.__setitem__((0, 1), x),
                     lambda x: logpdf("inverse_gamma", InverseGammaParams(cond.shape, cond.rate[0, 1]), x),
                     panel, model, base.lambda_ij[0, 1], include_aux=True,
                 )
                 xc = xi_conditional(base.lambda_ij)
                 _assert_slice_matches(
-                    base.copy, lambda s, x: s.xi_ij.__setitem__((1, 0), x),
+                    fresh, lambda s, x: s.xi_ij.__setitem__((1, 0), x),
                     lambda x: logpdf("inverse_gamma", InverseGammaParams(1.0, xc.rate[1, 0]), x),
                     panel, model, base.xi_ij[1, 0], include_aux=True,
                 )
             cond = lambda_i_conditional(base, panel, model)
             _assert_slice_matches(
-                base.copy, lambda s, x: s.lambda_i.__setitem__(0, x),
+                fresh, lambda s, x: s.lambda_i.__setitem__(0, x),
                 lambda x: logpdf("inverse_gamma", InverseGammaParams(cond.shape, cond.rate[0]), x),
                 panel, model, base.lambda_i[0], include_aux=True,
             )
         elif model.local_prior == "lasso":
             cond = lambda_ij_conditional(base, panel, model)
             _assert_slice_matches(
-                base.copy, lambda s, x: s.lambda_ij.__setitem__((0, 1), x),
+                fresh, lambda s, x: s.lambda_ij.__setitem__((0, 1), x),
                 lambda x: logpdf("gig", GigParams(cond.order, cond.chi[0, 1], cond.psi), x),
                 panel, model, base.lambda_ij[0, 1], include_aux=False,
             )
             cond = lambda_i_conditional(base, panel, model)
             _assert_slice_matches(
-                base.copy, lambda s, x: s.lambda_i.__setitem__(2, x),
+                fresh, lambda s, x: s.lambda_i.__setitem__(2, x),
                 lambda x: logpdf("gig", GigParams(cond.order, cond.chi[2], cond.psi), x),
                 panel, model, base.lambda_i[2], include_aux=False,
             )
@@ -317,13 +320,13 @@ def test_conditionals_match_log_joint(small_panel, tag):
         if model.has_theta_level:
             cond = tau1_conditional(base, panel, model)
             _assert_slice_matches(
-                base.copy, lambda s, x: setattr(s, "tau1_sq", x),
+                fresh, lambda s, x: setattr(s, "tau1_sq", x),
                 lambda x: logpdf("inverse_gamma", InverseGammaParams(cond.shape, cond.rate), x),
                 panel, model, base.tau1_sq, include_aux=True,
             )
         cond = tau2_conditional(base, panel, model)
         _assert_slice_matches(
-            base.copy, lambda s, x: setattr(s, "tau2_sq", x),
+            fresh, lambda s, x: setattr(s, "tau2_sq", x),
             lambda x: logpdf("inverse_gamma", InverseGammaParams(cond.shape, cond.rate), x),
             panel, model, base.tau2_sq, include_aux=True,
         )
@@ -438,13 +441,21 @@ def test_collapsed_conditionals_match_joint_gaussian(small_panel, tag):
         assert np.allclose(m_var, cond_var, rtol=1e-9)
 
 
-def test_divergence_abort_reports_location(small_panel):
+@pytest.mark.parametrize("tag, spoil, message", [
+    ("m11a", lambda s: s.mu.__setitem__(1, np.nan), r"non-finite mu at coordinate \(1,\) on iteration 3$"),
+    ("m11a", lambda s: setattr(s, "tau2_sq", np.inf), r"non-finite tau2_sq on iteration 3$"),
+    ("one_source", lambda s: s.lambda_i.__setitem__(2, np.inf), r"non-finite lambda_i at coordinate \(2,\) on iteration 3$"),
+], ids=["mu", "tau2_sq", "one_source"])
+def test_divergence_abort_reports_location(small_panel, tag, spoil, message):
     from glsae.gibbs import _check_finite
 
-    state = init_state(small_panel, variant("m11a"), 0.0, RngStream(8, 0))
-    state.mu[1] = np.nan
-    with pytest.raises(SamplerDivergence, match="mu.*iteration 3"):
-        _check_finite(state, variant("m11a"), 3)
+    model = variant(tag)
+    panel = small_panel if model.has_theta_level else small_panel.select_source(0)
+    state = init_state(panel, model, 0.0, RngStream(8, 0))
+    _check_finite(state, 3)
+    spoil(state)
+    with pytest.raises(SamplerDivergence, match=message):
+        _check_finite(state, 3)
 
 
 def test_checkpoint_restart_is_bit_identical(small_panel, tmp_path):

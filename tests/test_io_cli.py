@@ -143,6 +143,27 @@ def test_fit_one_source_needs_source_flag(tmp_path, panel_file, capsys):
     assert len(rows) == 8
 
 
+@pytest.mark.parametrize("panel, models, message", [
+    ("missing.csv", "m12", "No such file or directory: 'missing.csv'"),
+    (None, "m12,zzz", "unknown variant tag 'zzz'"),
+    (None, "m12,one-source", "needs --source"),
+])
+def test_fit_rejects_bad_input_before_writing(tmp_path, panel_file, capsys, monkeypatch, panel, models, message):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "o"
+    assert main([
+        "fit", "--panel", panel or str(panel_file), "--model", models,
+        "--iters", "50", "--burnin", "10", "--seed", "1", "--out", str(out),
+    ]) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_diagnose_reports_missing_draws_in_one_line(tmp_path, capsys):
+    assert main(["diagnose", "--draws", str(tmp_path / "missing")]) == 2
+    assert "No such file or directory" in _one_error_line(capsys)
+
+
 def test_diagnose_command(tmp_path, panel_file, capsys):
     out = tmp_path / "fit"
     main([
@@ -233,7 +254,7 @@ def test_simulate_cache_is_keyed_by_configuration(tmp_path, monkeypatch, capsys)
     shared, fresh = tmp_path / "shared", tmp_path / "fresh"
     assert main(_toy_simulate(1) + [str(shared)]) == 0
     assert capsys.readouterr().err == ""
-    seed1 = json.loads((shared / "manifest.json").read_text())["manifest_hash"]
+    (seed1,) = [p.name for p in (shared / "cache").iterdir()]
     assert main(_toy_simulate(2) + [str(shared)]) == 0
     # the seed-1 directory is reported on one stderr line and kept
     assert capsys.readouterr().err.splitlines() == [
@@ -242,6 +263,33 @@ def test_simulate_cache_is_keyed_by_configuration(tmp_path, monkeypatch, capsys)
     assert main(_toy_simulate(2) + [str(fresh)]) == 0
     assert _run_outputs(shared) == _run_outputs(fresh)
     assert len(list((shared / "cache").iterdir())) == 2  # one directory per configuration
+
+
+def test_simulate_cache_is_keyed_by_code(tmp_path, monkeypatch, capsys):
+    from glsae import runner
+
+    monkeypatch.setenv("GLSAE_WORKERS", "1")
+    out = tmp_path / "s"
+    assert main(_toy_simulate(1) + [str(out)]) == 0
+    (old,) = [p.name for p in (out / "cache").iterdir()]
+    first = _run_outputs(out)
+    capsys.readouterr()
+
+    real_item = runner._sim_item
+    calls = []
+
+    def counted(item):
+        calls.append(item)
+        return real_item(item)
+
+    monkeypatch.setattr(runner, "_sim_item", counted)
+    monkeypatch.setattr(runner, "_code_digest", lambda: "0" * 64)
+    assert main(_toy_simulate(1) + [str(out)]) == 0
+    assert len(calls) == 4  # other code: every item runs again
+    assert capsys.readouterr().err.splitlines() == [
+        f"glsae: note: {out / 'cache'} keeps 1 stale configuration(s), not removed: {old}"
+    ]
+    assert _run_outputs(out) == first  # the tables keep the manifest stamp
 
 
 def test_simulate_interrupted_run_keeps_finished_items(tmp_path, monkeypatch):

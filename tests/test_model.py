@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from glsae.model import (
     SourcePanel,
     VARIANT_TAGS,
     init_state,
+    unit_state,
     validate_panel,
     variant,
 )
@@ -98,6 +100,30 @@ def test_m12_state_has_unit_locals(small_panel):
     state = init_state(small_panel, variant("m12"), 0.0, RngStream(3))
     assert np.all(state.lambda_ij == 1.0) and np.all(state.lambda_i == 1.0)
     assert state.xi_ij is None and state.xi_i is None
+
+
+# fields each variant carries besides mu, eta, lambda_i, tau1_sq, tau2_sq, xi_tau2
+@pytest.mark.parametrize("tag, extra", [
+    ("m11a", {"theta", "lambda_ij", "xi_ij", "xi_i", "xi_tau1"}),
+    ("m11b", {"theta", "lambda_ij", "xi_tau1"}),
+    ("m1a", {"theta", "lambda_ij", "xi_ij", "xi_i", "xi_tau1"}),
+    ("m1b", {"theta", "lambda_ij", "xi_tau1"}),
+    ("m12", {"theta", "lambda_ij", "xi_tau1"}),
+    ("one_source", {"xi_i"}),
+])
+def test_unit_state_layout(tag, extra):
+    model = variant(tag)
+    J = 2 if model.has_theta_level else 1
+    state = unit_state(model, 3, J)
+    present = {f.name for f in fields(state) if getattr(state, f.name) is not None}
+    assert present == {"mu", "eta", "lambda_i", "tau1_sq", "tau2_sq", "xi_tau2"} | extra
+    shapes = {"mu": (3,), "lambda_i": (3,), "xi_i": (3,), "theta": (3, J), "lambda_ij": (3, J), "xi_ij": (3, J)}
+    for name in present:
+        val = getattr(state, name)
+        assert np.shape(val) == shapes.get(name, ()), name
+        assert np.all(val == (0.0 if name in ("mu", "eta", "theta") else 1.0)), name
+    with pytest.raises(ValueError, match="single-source"):
+        unit_state(variant("one_source"), 3, 2)
 
 
 def test_chain_state_roundtrips_bit_exactly(small_panel):

@@ -111,6 +111,11 @@ def test_layout_roundtrip():
         state = layout.to_state(z)
         assert state.mu.shape == (p.n_areas,)
         assert len(layout.names) == layout.dim
+        # the walker's state has the same layout as a chain's
+        start = init_state(p, model, 0.0, RngStream(0))
+        for name, val in vars(start).items():
+            got = getattr(state, name)
+            assert (got is None) == (val is None) and np.shape(got) == np.shape(val), name
 
 
 def test_metropolis_self_consistency_and_label_symmetry():
