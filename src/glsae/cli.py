@@ -124,8 +124,7 @@ def _cmd_diagnose(args) -> int:
     meta = json.loads((droot / "meta.json").read_text(encoding="utf-8"))
     arr = np.load(droot / f"{args.quantity}.npy")
     if arr.shape[0] < 2:
-        print("diagnose needs at least 2 chains", file=sys.stderr)
-        return 2
+        raise ValueError("diagnose needs at least 2 chains")
     report = rhat_report(arr, args.quantity, args.threshold)
     rows = [(name, val, "pass" if ok else "fail") for name, val, ok in report.rows()]
     if args.out:
@@ -145,8 +144,7 @@ def _cmd_evaluate(args) -> int:
     if areas_e != areas_t:
         order = {a: k for k, a in enumerate(areas_t)}
         if set(areas_e) != set(areas_t):
-            print("estimate and truth files cover different areas", file=sys.stderr)
-            return 2
+            raise ValueError("estimate and truth files cover different areas")
         idx = [order[a] for a in areas_e]
         tru = tru[idx]
     s = score(est, tru)

@@ -43,6 +43,7 @@ import numpy as np
 from .rng import RngStream
 
 _FLOOR = 1e-300
+_FLOOR_0D = np.array(_FLOOR)
 _GIG_MAX_ROUNDS = 100
 
 
@@ -95,12 +96,18 @@ def sample_normal(mean, variance, rng: RngStream):
 def _invgamma_raw(shape, rate, gen):
     """IG(shape, rate) draw without validation (hot path for the Gibbs loop).
 
-    Callers guarantee positive finite parameters; the chain driver's
-    per-sweep non-finite guard backstops anything pathological.
+    A Python-float ``rate`` gives a Python-float draw. ``standard_gamma``
+    gives the bits of ``gamma(shape, 1.0)``, and the floor is a 0-d array
+    because numpy converts a Python-float operand on every call. Callers
+    guarantee positive finite parameters; the chain driver's per-sweep
+    non-finite guard backstops anything pathological.
     """
+    if type(rate) is float:
+        g = gen.standard_gamma(shape)
+        # a zero gamma draw gives inf, as numpy's division would
+        return max(rate / g, _FLOOR) if g else math.inf
     size = getattr(rate, "shape", None) or getattr(shape, "shape", None) or None
-    g = gen.gamma(shape, 1.0, size=size)
-    return np.maximum(rate / g, _FLOOR)
+    return np.maximum(rate / gen.standard_gamma(shape, size), _FLOOR_0D)
 
 
 def sample_inverse_gamma(p: InverseGammaParams, rng: RngStream):

@@ -44,11 +44,19 @@ and a lasso variance (the local ones of m11b, m1b) from
     var | else ~ GIG(1 - n/2, max(q, 1e-30), 2).
 
 The clamp keeps the GIG valid when q is exactly zero, a probability-zero
-event in exact arithmetic. The draw order is lam_ij, xi_ij, lam_i, xi_i,
-tau1_sq, xi_tau1, tau2_sq, xi_tau2. The tau rates sum over all
-areas/sources and the tau2 rate uses the mu-level residual; both follow
-from completing the square in the joint and are confirmed against the
-brute-force oracle.
+event in exact arithmetic. The tau rates sum over all areas/sources and
+the tau2 rate uses the mu-level residual; both follow from completing the
+square in the joint and are confirmed against the brute-force oracle.
+
+Draw order of one sweep (a variant skips the quantities it lacks):
+
+    eta, mu, th                                   the Gaussian block
+    r and d, formed once                          no variance draw moves th, mu or eta
+    lam_ij, xi_ij, lam_i, xi_i                    local variances
+    tau1_sq, xi_tau1, tau2_sq, xi_tau2            global variances, as Python floats
+
+Each line consumes the chain's stream in that order, and every output
+file is pinned to it (``tests/test_golden.py``).
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ from .model import ChainState, ModelVariant, SamplerSettings, SourcePanel, init_
 from .rng import RngStream
 
 _CHI_CLAMP = 1e-30
+_CHI_CLAMP_0D = np.array(_CHI_CLAMP)  # numpy converts a Python-float operand on every call
 CHECKPOINT_FORMAT = "glsae-chain-checkpoint"
 CHECKPOINT_VERSION = 2
 
@@ -75,28 +84,32 @@ class SamplerDivergence(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # conditional parameters
+#
+# The sweep's reductions call np.add.reduce, which is what ndarray.sum runs
+# without its Python-level wrapper, and np.reciprocal(x) is 1.0 / x to the
+# bit without converting the Python 1.0, so both keep the draws' bits.
 
 
-def _collapsed(state: ChainState, panel: SourcePanel, model: ModelVariant) -> _summary.Collapsed:
+def _collapsed(state: ChainState, panel: SourcePanel, model: ModelVariant) -> tuple:
     return _summary.collapse(panel, model, state.lambda_ij, state.lambda_i, state.tau1_sq, state.tau2_sq)
 
 
-def _eta_moments(c: _summary.Collapsed) -> tuple[float, float]:
-    w = 1.0 / (c.A + c.h2)
-    wsum = w.sum()
-    return float((w * c.ybar).sum() / wsum), float(1.0 / wsum)
+def _eta_moments(h2, ybar, A) -> tuple[float, float]:
+    w = np.reciprocal(A + h2)
+    wsum = np.add.reduce(w, None)  # numpy scalars: a zero sum gives inf, not ZeroDivisionError
+    return float(np.add.reduce(w * ybar, None) / wsum), float(1.0 / wsum)
 
 
-def _mu_moments(c: _summary.Collapsed, eta: float):
-    prec = 1.0 / c.h2 + 1.0 / c.A
-    mean = (c.ybar / c.h2 + eta / c.A) / prec
-    return mean, 1.0 / prec
+def _mu_moments(h2, ybar, A, eta: float):
+    prec = np.reciprocal(h2) + np.reciprocal(A)
+    mean = (ybar / h2 + eta / A) / prec
+    return mean, np.reciprocal(prec)
 
 
-def _theta_moments(c: _summary.Collapsed, mu: np.ndarray, panel: SourcePanel):
-    prec = 1.0 / panel.v + 1.0 / c.a
-    mean = (panel.y / panel.v + mu[:, None] / c.a) / prec
-    return mean, 1.0 / prec
+def _theta_moments(a, mu: np.ndarray, panel: SourcePanel):
+    prec = panel.inv_v + np.reciprocal(a)
+    mean = (panel.y_over_v + mu[:, None] / a) / prec
+    return mean, np.reciprocal(prec)
 
 
 def eta_collapsed_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
@@ -105,19 +118,21 @@ def eta_collapsed_conditional(state: ChainState, panel: SourcePanel, model: Mode
     Marginally ybar_i ~ N(eta, A_i + h2_i); the flat prior makes the draw a
     precision-weighted mean of the pooled area estimates.
     """
-    return _eta_moments(_collapsed(state, panel, model))
+    _, _, h2, ybar, A = _collapsed(state, panel, model)
+    return _eta_moments(h2, ybar, A)
 
 
 def mu_collapsed_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
     """Mean and variance of mu given eta, y and the variances (th integrated out), each (I,)."""
-    return _mu_moments(_collapsed(state, panel, model), state.eta)
+    _, _, h2, ybar, A = _collapsed(state, panel, model)
+    return _mu_moments(h2, ybar, A, state.eta)
 
 
 def theta_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
     """Mean and variance of the th conditional, each (I, J)."""
     if not model.has_theta_level:
         raise ValueError("one_source has no th level")
-    return _theta_moments(_collapsed(state, panel, model), state.mu, panel)
+    return _theta_moments(_collapsed(state, panel, model)[0], state.mu, panel)
 
 
 def _residuals(state: ChainState, model: ModelVariant):
@@ -127,21 +142,20 @@ def _residuals(state: ChainState, model: ModelVariant):
 
 
 # Each form returns (n, q): the number of normal terms the variance scales
-# and their quadratic form with the variance itself factored out.
+# and their quadratic form with the variance itself factored out. The
+# global forms return q as a float.
 
 
 def _lambda_ij_form(state: ChainState, model: ModelVariant, r):
     if model.theta_variance_form == "product":
-        g = state.lambda_i[:, None] * state.tau1_sq
-    else:
-        g = state.tau1_sq
-    return 1, r / g
+        return 1, r / (state.lambda_i[:, None] * state.tau1_sq)
+    return 1, r / state.tau1_sq
 
 
 def _lambda_i_form(state: ChainState, panel: SourcePanel, model: ModelVariant, r, d):
     q = d / state.tau2_sq
     if model.theta_variance_form == "product":
-        return panel.n_sources + 1, (r / (state.lambda_ij * state.tau1_sq)).sum(axis=1) + q
+        return panel.n_sources + 1, np.add.reduce(r / (state.lambda_ij * state.tau1_sq), 1) + q
     # lam_i enters only the mu level (source form and one-source)
     return 1, q
 
@@ -149,33 +163,49 @@ def _lambda_i_form(state: ChainState, panel: SourcePanel, model: ModelVariant, r
 def _tau1_form(state: ChainState, model: ModelVariant, r):
     form = model.theta_variance_form
     if form == "product":
-        u = state.lambda_ij * state.lambda_i[:, None]
+        r = r / (state.lambda_ij * state.lambda_i[:, None])
     elif form == "source":
-        u = state.lambda_ij
-    else:
-        u = 1.0
-    return r.size, (r / u).sum()
+        r = r / state.lambda_ij
+    # the unit form's u is 1
+    return r.size, float(np.add.reduce(r, None))
 
 
 def _tau2_form(state: ChainState, d):
-    return d.size, (d / state.lambda_i).sum()
+    return d.size, float(np.add.reduce(d / state.lambda_i, None))
+
+
+def _ig_law(n, q, xi):
+    """Shape and rate of a horseshoe variance's IG conditional."""
+    return n / 2.0 + 0.5, q / 2.0 + 1.0 / xi
+
+
+def _gig_law(n, q):
+    """Order and chi of a lasso variance's GIG conditional; psi is 2."""
+    return 1.0 - n / 2.0, np.maximum(q, _CHI_CLAMP_0D)
+
+
+def _xi_rate(lam):
+    """Rate of the mixing variable's IG(1, rate) conditional."""
+    return 1.0 + 1.0 / lam
 
 
 def _law(prior: str, n, q, xi):
     """Conditional law of a variance scaling n normal terms with quadratic form q."""
     if prior == "lasso":
-        return GigParams(order=1.0 - n / 2.0, chi=np.maximum(q, _CHI_CLAMP), psi=2.0)
-    return InverseGammaParams(shape=n / 2.0 + 0.5, rate=q / 2.0 + 1.0 / xi)
+        order, chi = _gig_law(n, q)
+        return GigParams(order=order, chi=chi, psi=2.0)
+    shape, rate = _ig_law(n, q, xi)
+    return InverseGammaParams(shape=shape, rate=rate)
 
 
 def _draw(prior: str, n, q, xi, gen):
     """Draw a variance from its law; returns (draw, renewed xi or None for lasso)."""
-    law = _law(prior, n, q, xi)
     if prior == "lasso":
-        return _gig_raw(law.order, law.chi, law.psi, gen), None
-    draw = _invgamma_raw(law.shape, law.rate, gen)
-    mix = xi_conditional(draw)
-    return draw, _invgamma_raw(mix.shape, mix.rate, gen)
+        order, chi = _gig_law(n, q)
+        return _gig_raw(order, chi, 2.0, gen), None
+    shape, rate = _ig_law(n, q, xi)
+    draw = _invgamma_raw(shape, rate, gen)
+    return draw, _invgamma_raw(1.0, _xi_rate(draw), gen)
 
 
 def lambda_ij_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
@@ -202,58 +232,63 @@ def tau2_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant)
 
 def xi_conditional(lam) -> InverseGammaParams:
     """Mixing-variable conditional after a horseshoe variance draw."""
-    return InverseGammaParams(shape=1.0, rate=1.0 + 1.0 / np.asarray(lam, dtype=float))
+    return InverseGammaParams(shape=1.0, rate=_xi_rate(np.asarray(lam, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
-# in-place updates
+# in-place updates; each takes the chain's numpy Generator
 
 
-def update_gaussian_block(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
+def update_gaussian_block(state: ChainState, panel: SourcePanel, model: ModelVariant, gen) -> None:
     """Draw eta, then mu given eta, then th given mu, from one set of collapsed pieces.
 
     None of the three draws changes a variance, so the pieces computed
     once at the top serve all of them.
     """
-    gen = rng.generator
-    c = _collapsed(state, panel, model)
-    mean, var = _eta_moments(c)
-    state.eta = mean + math.sqrt(var) * float(gen.standard_normal())
-    mean, var = _mu_moments(c, state.eta)
-    state.mu = mean + np.sqrt(var) * gen.standard_normal(mean.shape)
-    if model.has_theta_level:
-        mean, var = _theta_moments(c, state.mu, panel)
+    a, _, h2, ybar, A = _collapsed(state, panel, model)
+    mean, var = _eta_moments(h2, ybar, A)
+    state.eta = eta = mean + math.sqrt(var) * gen.standard_normal()
+    mean, var = _mu_moments(h2, ybar, A, eta)
+    state.mu = mu = mean + np.sqrt(var) * gen.standard_normal(mean.shape)
+    if a is not None:
+        mean, var = _theta_moments(a, mu, panel)
         state.theta = mean + np.sqrt(var) * gen.standard_normal(mean.shape)
 
 
-def update_local_variances(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
-    """Draw lam_ij, then lam_i, under the variant's local law (m12 keeps them at 1)."""
+def update_local_variances(state: ChainState, panel: SourcePanel, model: ModelVariant, r, d, gen) -> None:
+    """Draw lam_ij, then lam_i, under the variant's local law (m12 keeps them at 1).
+
+    ``r`` and ``d`` are the sweep's residuals (:func:`_residuals`).
+    """
     prior = model.local_prior
     if prior == "unit":
         return
-    gen = rng.generator
-    r, d = _residuals(state, model)
     if model.has_local_ij:
         state.lambda_ij, state.xi_ij = _draw(prior, *_lambda_ij_form(state, model, r), state.xi_ij, gen)
     state.lambda_i, state.xi_i = _draw(prior, *_lambda_i_form(state, panel, model, r, d), state.xi_i, gen)
 
 
-def update_global_variances(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
-    """Draw tau1_sq (with a th level), then tau2_sq, each under the horseshoe law."""
-    gen = rng.generator
-    r, d = _residuals(state, model)
+def update_global_variances(state: ChainState, model: ModelVariant, r, d, gen) -> None:
+    """Draw tau1_sq (with a th level), then tau2_sq, each under the horseshoe law.
+
+    ``r`` and ``d`` are the sweep's residuals; the draws are Python floats.
+    """
     if r is not None:
-        tau, xi = _draw("horseshoe", *_tau1_form(state, model, r), state.xi_tau1, gen)
-        state.tau1_sq, state.xi_tau1 = float(tau), float(xi)
-    tau, xi = _draw("horseshoe", *_tau2_form(state, d), state.xi_tau2, gen)
-    state.tau2_sq, state.xi_tau2 = float(tau), float(xi)
+        state.tau1_sq, state.xi_tau1 = _draw("horseshoe", *_tau1_form(state, model, r), state.xi_tau1, gen)
+    state.tau2_sq, state.xi_tau2 = _draw("horseshoe", *_tau2_form(state, d), state.xi_tau2, gen)
 
 
 def sweep(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
-    """One full Gibbs scan: the Gaussian block, then local, then global variances."""
-    update_gaussian_block(state, panel, model, rng)
-    update_local_variances(state, panel, model, rng)
-    update_global_variances(state, panel, model, rng)
+    """One full Gibbs scan: the Gaussian block, then local, then global variances.
+
+    The residuals r and d are formed once, after the Gaussian block: no
+    variance draw changes th, mu or eta.
+    """
+    gen = rng.generator
+    update_gaussian_block(state, panel, model, gen)
+    r, d = _residuals(state, model)
+    update_local_variances(state, panel, model, r, d, gen)
+    update_global_variances(state, model, r, d, gen)
 
 
 # ---------------------------------------------------------------------------

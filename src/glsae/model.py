@@ -29,7 +29,8 @@ a ChainState is owned by exactly one chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -58,7 +59,11 @@ _THETA_FORM = {
 
 @dataclass(frozen=True)
 class ModelVariant:
-    """One of the six model variants, with its derived structure."""
+    """One of the six model variants, with its derived structure.
+
+    The structure is read a dozen times per sweep, so each property is
+    computed once per instance and then read from the instance dict.
+    """
 
     tag: str
 
@@ -66,26 +71,26 @@ class ModelVariant:
         if self.tag not in VARIANT_TAGS:
             raise ValueError(f"unknown variant tag {self.tag!r}; expected one of {VARIANT_TAGS}")
 
-    @property
+    @cached_property
     def local_prior(self) -> str:
         """Law on the local variances: horseshoe | lasso | unit."""
         return _LOCAL_PRIOR[self.tag]
 
-    @property
+    @cached_property
     def theta_variance_form(self) -> str:
         """Source-level variance structure: product | source | unit | none."""
         return _THETA_FORM[self.tag]
 
-    @property
+    @cached_property
     def has_theta_level(self) -> bool:
         return self.tag != "one_source"
 
-    @property
+    @cached_property
     def has_local_ij(self) -> bool:
         """Whether lam_ij exists as a sampled quantity."""
         return self.theta_variance_form in ("product", "source")
 
-    @property
+    @cached_property
     def updates_lambda_i(self) -> bool:
         """lam_i is sampled for every variant except the unit form."""
         return self.tag != "m12"
@@ -102,22 +107,40 @@ class SourcePanel:
 
     ``y`` and ``v`` are (I, J) arrays on the proportion scale; ``v`` holds
     fixed, known sampling variances. No missing cells.
+
+    The sampler's panel constants are computed once, read-only, from y
+    and v: ``inv_v`` = 1/v and ``y_over_v`` = y/v (the data terms of the
+    th conditional), and ``h2_v``/``ybar_v``, the collapsed h2 and ybar
+    at s2 = v (the one-source variant's, which has no th level), formed
+    with the arithmetic of :func:`glsae.summary.collapse`.
     """
 
     areas: tuple[str, ...]
     sources: tuple[str, ...]
     y: np.ndarray
     v: np.ndarray
+    inv_v: np.ndarray = field(init=False, repr=False, compare=False)
+    y_over_v: np.ndarray = field(init=False, repr=False, compare=False)
+    h2_v: np.ndarray = field(init=False, repr=False, compare=False)
+    ybar_v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = np.array(self.y, dtype=float)
         v = np.array(self.v, dtype=float)
-        y.flags.writeable = False
-        v.flags.writeable = False
+        if y.ndim == 2 and y.shape == v.shape:
+            # a v <= 0 is reported by validate_panel, and such a panel is never sampled
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv_v = 1.0 / v
+                h2_v = 1.0 / inv_v.sum(axis=-1)
+                derived = {"inv_v": inv_v, "y_over_v": y / v, "h2_v": h2_v,
+                           "ybar_v": (y * inv_v).sum(axis=-1) * h2_v}
+        else:  # likewise reported by validate_panel
+            derived = {name: np.full(v.shape, np.nan) for name in ("inv_v", "y_over_v", "h2_v", "ybar_v")}
         object.__setattr__(self, "areas", tuple(str(a) for a in self.areas))
         object.__setattr__(self, "sources", tuple(str(s) for s in self.sources))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "v", v)
+        for name, arr in {"y": y, "v": v, **derived}.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_areas(self) -> int:

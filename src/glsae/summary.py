@@ -28,7 +28,6 @@ comparable across models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,30 +56,29 @@ def source_variance(
 ) -> np.ndarray:
     """The source-level variance a_ij implied by the variant structure.
 
+    A float ``tau1_sq`` is one draw, with the lambdas given as arrays (the
+    sampler's case); otherwise every argument may carry leading draw axes.
     ``shape`` supplies (I, J) for the unit form, whose variance carries no
     local factors.
     """
-    tau1 = np.asarray(tau1_sq, dtype=float)[..., None, None]
     form = model.theta_variance_form
+    if form not in ("product", "source", "unit"):
+        raise ValueError(f"variant {model.tag} has no source-level variance")
+    if form == "unit" and shape is None:
+        raise ValueError("unit form needs an explicit (I, J) shape")
+    if isinstance(tau1_sq, float):
+        if form == "unit":
+            return np.full(shape, tau1_sq)
+        tau1 = tau1_sq
+    else:
+        tau1 = np.asarray(tau1_sq, dtype=float)[..., None, None]
+        if form == "unit":
+            return np.broadcast_to(tau1, tau1.shape[:-2] + tuple(shape)) + 0.0
+        lambda_ij = np.asarray(lambda_ij)
+        lambda_i = np.asarray(lambda_i)
     if form == "product":
-        return np.asarray(lambda_ij) * np.asarray(lambda_i)[..., None] * tau1
-    if form == "source":
-        return np.asarray(lambda_ij) * tau1
-    if form == "unit":
-        if shape is None:
-            raise ValueError("unit form needs an explicit (I, J) shape")
-        return np.broadcast_to(tau1, tau1.shape[:-2] + tuple(shape)) + 0.0
-    raise ValueError(f"variant {model.tag} has no source-level variance")
-
-
-class Collapsed(NamedTuple):
-    """Variance-conditional pieces of the collapsed Gaussian model, over leading axes."""
-
-    a: np.ndarray | None  # (..., I, J) source-level variance; None without a th level
-    s2: np.ndarray        # (..., I, J)
-    h2: np.ndarray        # (..., I)
-    ybar: np.ndarray      # (..., I)
-    A: np.ndarray         # (..., I)
+        return lambda_ij * lambda_i[..., None] * tau1
+    return lambda_ij * tau1
 
 
 def collapse(
@@ -90,28 +88,33 @@ def collapse(
     lambda_i,
     tau1_sq,
     tau2_sq,
-) -> Collapsed:
-    """a_ij, s2, h2, ybar and A for one draw or a batch of draws.
+) -> tuple:
+    """(a, s2, h2, ybar, A) for one draw or a batch of draws.
 
     Integrating th (where present) gives y_ij | mu_i ~ N(mu_i, s2_ij), so
-    ybar_i | mu_i ~ N(mu_i, h2_i). Shapes follow :func:`decompose`. ybar is
-    formed as the weighted total times h2, the arithmetic the sampler's
-    draws are pinned to.
+    ybar_i | mu_i ~ N(mu_i, h2_i). a is None without a th level, where
+    s2 = v and h2, ybar are the panel constants ``h2_v``, ``ybar_v``. One
+    draw (the sampler's case) is array lambdas with float taus; a batch
+    gives ``lambda_i`` (..., I) and the taus (...) as arrays (see
+    :func:`decompose`). ybar is formed as the weighted total times h2, the
+    arithmetic the sampler's draws are pinned to.
     """
+    if not isinstance(tau2_sq, float):
+        tau2_sq = np.asarray(tau2_sq, dtype=float)[..., None]
+    A = lambda_i * tau2_sq
     v = panel.v
-    lambda_i = np.asarray(lambda_i, dtype=float)
-    A = lambda_i * np.asarray(tau2_sq, dtype=float)[..., None]
-    if model.has_theta_level:
-        a = source_variance(model, lambda_ij, lambda_i, tau1_sq, shape=v.shape)
-        s2 = v + a
-    else:
-        a = None
-        # the batch shape as a view; a single draw (the sampler's case) skips the costly broadcast
-        s2 = np.broadcast_to(v, A.shape[:-1] + v.shape) if A.ndim > 1 else v
-    w = 1.0 / s2
-    h2 = 1.0 / w.sum(axis=-1)
-    ybar = (panel.y * w).sum(axis=-1) * h2
-    return Collapsed(a=a, s2=s2, h2=h2, ybar=ybar, A=A)
+    if not model.has_theta_level:
+        if A.ndim == 1:
+            return None, v, panel.h2_v, panel.ybar_v, A
+        # a batch sees the panel constants as read-only views
+        s2 = np.broadcast_to(v, A.shape[:-1] + v.shape)
+        return None, s2, np.broadcast_to(panel.h2_v, A.shape), np.broadcast_to(panel.ybar_v, A.shape), A
+    a = source_variance(model, lambda_ij, lambda_i, tau1_sq, shape=v.shape)
+    s2 = v + a
+    w = np.reciprocal(s2)  # 1.0 / s2 to the bit, as in glsae.gibbs
+    h2 = np.reciprocal(np.add.reduce(w, -1))
+    ybar = np.add.reduce(panel.y * w, -1) * h2
+    return a, s2, h2, ybar, A
 
 
 def decompose(
@@ -127,6 +130,9 @@ def decompose(
     ``lambda_i`` has shape (..., I), ``lambda_ij`` (..., I, J) (ignored for
     the unit and one-source forms), ``tau1_sq``/``tau2_sq`` shape (...).
     """
+    if lambda_ij is not None:
+        lambda_ij = np.asarray(lambda_ij, dtype=float)
+    lambda_i = np.asarray(lambda_i, dtype=float)
     _, s2, h2, ybar, A = collapse(panel, model, lambda_ij, lambda_i, tau1_sq, tau2_sq)
     phi = A / (A + h2)
     pool_w = 1.0 / (A + h2)
@@ -154,9 +160,10 @@ def conditional_mean_direct(
     """
     v = panel.v
     y = panel.y
-    d = 1.0 / (np.asarray(lambda_i, dtype=float) * float(tau2_sq))
+    lambda_i = np.asarray(lambda_i, dtype=float)
+    d = 1.0 / (lambda_i * float(tau2_sq))
     if model.has_theta_level:
-        a = source_variance(model, lambda_ij, lambda_i, float(tau1_sq), shape=v.shape)
+        a = source_variance(model, np.asarray(lambda_ij, dtype=float), lambda_i, float(tau1_sq), shape=v.shape)
         cell_w = 1.0 / (v + a)
     else:
         cell_w = 1.0 / v
@@ -184,9 +191,10 @@ def conditional_mean_joint_solve(
     v = panel.v
     y = panel.y
     I, J = v.shape
-    b_i = np.asarray(lambda_i, dtype=float) * float(tau2_sq)
+    lambda_i = np.asarray(lambda_i, dtype=float)
+    b_i = lambda_i * float(tau2_sq)
     if model.has_theta_level:
-        a = source_variance(model, lambda_ij, lambda_i, float(tau1_sq), shape=(I, J))
+        a = source_variance(model, np.asarray(lambda_ij, dtype=float), lambda_i, float(tau1_sq), shape=(I, J))
         a = np.broadcast_to(a, (I, J))
         n = I * J + I + 1
         Q = np.zeros((n, n))

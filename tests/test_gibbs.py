@@ -7,6 +7,7 @@ from conftest import random_positive_state
 from glsae.distributions import logpdf, GigParams, InverseGammaParams
 from glsae.gibbs import (
     SamplerDivergence,
+    _residuals,
     eta_collapsed_conditional,
     lambda_i_conditional,
     lambda_ij_conditional,
@@ -377,9 +378,10 @@ def test_m12_equals_pinned_m11a(small_panel):
     state = init_state(small_panel, m12, 0.0, rng)  # same init draw pattern
     mus = []
     for _ in range(settings.n_iter):
-        update_gaussian_block(state, small_panel, m11a, rng)
+        update_gaussian_block(state, small_panel, m11a, rng.generator)
         # local updates disabled; lambda stays at 1
-        update_global_variances(state, small_panel, m11a, rng)
+        r, d = _residuals(state, m11a)
+        update_global_variances(state, m11a, r, d, rng.generator)
         mus.append(state.mu.copy())
     assert np.array_equal(draws_m12["mu"], np.array(mus))
 

@@ -147,7 +147,7 @@ CHECKPOINT_GOLDEN = {
 }
 
 
-def _checkpoint_bytes(tag: str, panel, path: Path) -> bytes:
+def _checkpoint_bytes(tag: str, panel, path: Path, n_sweeps: int = 3) -> bytes:
     from glsae.gibbs import save_checkpoint, sweep
     from glsae.model import init_state, variant
     from glsae.rng import RngStream
@@ -157,9 +157,9 @@ def _checkpoint_bytes(tag: str, panel, path: Path) -> bytes:
         panel = panel.select_source(0)
     rng = RngStream(41, 3)
     state = init_state(panel, model, 0.1, rng)
-    for _ in range(3):
+    for _ in range(n_sweeps):
         sweep(state, panel, model, rng)
-    save_checkpoint(path, model, state, 3, rng)
+    save_checkpoint(path, model, state, n_sweeps, rng)
     return path.read_bytes()
 
 
@@ -176,3 +176,38 @@ def test_checkpoints_match_recorded_digests(tmp_path, small_panel):
         save_checkpoint(path, model, state, iteration, rng)
         assert path.read_bytes() == first, tag
     assert digests == CHECKPOINT_GOLDEN
+
+
+# The same checkpoint after 20 sweeps on a J = 4 panel, where m11b's lam_i
+# draw takes the order -1.5 (Devroye) GIG path and m1b's draws the +1/2 path;
+# GOLDEN covers only J = 2.
+WIDE_CHECKPOINT_GOLDEN = {
+    "m11a": "38cb10132c87f711d71d074a282120fde22447eda12912b591cf16b70ba3975e",
+    "m11b": "7a6beb4ed06b593fb53401db519d3d99a9ebcb23480bff46d06b19afa8aa2442",
+    "m1a": "b0d56ff2b4a5b4d89ae944d117749741069509ccb9947c3f3a07419460002e7c",
+    "m1b": "fe76fe18254014c8c94c770e39ee26d7e3e70770035c540d734c62017302a2d2",
+    "m12": "816f5cc0f1126306c3a1c140e7d5a1c92dc4ccb9d86c6a30e1f84c2aa4cdb488",
+    "one_source": "ddeb7d73ab01f9667ba91efcb8f0b33bb1e546370d089e89ea6470f6a54f6d3b",
+}
+
+
+def _wide_panel():
+    from glsae.model import SourcePanel
+
+    gen = np.random.default_rng(47)
+    n_areas, n_sources = 7, 4
+    return SourcePanel(
+        areas=tuple(f"w{i}" for i in range(n_areas)),
+        sources=tuple(f"s{j}" for j in range(n_sources)),
+        y=0.25 + 0.04 * gen.standard_normal((n_areas, n_sources)),
+        v=(0.01 + 0.06 * gen.random((n_areas, n_sources))) ** 2,
+    )
+
+
+def test_wide_checkpoints_match_recorded_digests(tmp_path):
+    panel = _wide_panel()
+    digests = {
+        tag: hashlib.sha256(_checkpoint_bytes(tag, panel, tmp_path / f"{tag}.json", n_sweeps=20)).hexdigest()
+        for tag in ("m11a", "m11b", "m1a", "m1b", "m12", "one_source")
+    }
+    assert digests == WIDE_CHECKPOINT_GOLDEN

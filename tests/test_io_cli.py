@@ -164,6 +164,17 @@ def test_diagnose_reports_missing_draws_in_one_line(tmp_path, capsys):
     assert "No such file or directory" in _one_error_line(capsys)
 
 
+def test_diagnose_refuses_one_chain_in_one_line(tmp_path, panel_file, capsys):
+    out = tmp_path / "fit"
+    assert main([
+        "fit", "--panel", str(panel_file), "--model", "m12", "--chains", "1",
+        "--iters", "30", "--burnin", "10", "--seed", "7", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--draws", str(out / "draws" / "m12")]) == 2
+    assert "diagnose needs at least 2 chains" in _one_error_line(capsys)
+
+
 def test_diagnose_command(tmp_path, panel_file, capsys):
     out = tmp_path / "fit"
     main([
@@ -194,6 +205,15 @@ def test_evaluate_command(tmp_path, capsys):
     assert lines[0] == "arb,asrb,aad,asd,n_nonpositive_truth"
     vals = [float(x) for x in lines[1].split(",")]
     assert vals == pytest.approx([0.2, 0.04, 0.05, 0.0025, 0.0])
+
+
+def test_evaluate_refuses_different_areas_in_one_line(tmp_path, capsys):
+    est = tmp_path / "est.csv"
+    tru = tmp_path / "tru.csv"
+    est.write_text("area,value\nc1,0.30\nc2,0.20\n", encoding="utf-8")
+    tru.write_text("area,value\nc1,0.25\nc3,0.20\n", encoding="utf-8")
+    assert main(["evaluate", "--estimates", str(est), "--truths", str(tru)]) == 2
+    assert "estimate and truth files cover different areas" in _one_error_line(capsys)
 
 
 def test_simulate_command_deterministic_across_workers(tmp_path, monkeypatch):
