@@ -127,10 +127,10 @@ def _wald_stable(mean, scale, gen):
     catastrophically when w = mean*nu/(2*scale) is large (it returns an
     exact 0, whose reciprocal blows up the order-1/2 GIG path); the
     rationalized form mean/(1 + w + sqrt(w^2 + 2w)) is identical algebra
-    without the subtraction.
+    without the subtraction. Both callers pass a ``scale`` that broadcasts
+    to ``mean``, so the draws take the shape of ``mean``.
     """
-    shape = np.broadcast_shapes(np.shape(mean), np.shape(scale))
-    size = shape if shape else None
+    size = np.shape(mean) or None
     nu = gen.standard_normal(size)
     nu = nu * nu
     w = mean * nu / (2.0 * scale)

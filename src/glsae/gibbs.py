@@ -69,7 +69,7 @@ import numpy as np
 
 from . import summary as _summary
 from .distributions import GigParams, InverseGammaParams, _gig_raw, _invgamma_raw
-from .model import ChainState, ModelVariant, SamplerSettings, SourcePanel, init_state
+from .model import ChainState, ModelVariant, SamplerSettings, SourcePanel, init_state, unit_state
 from .rng import RngStream
 
 _CHI_CLAMP = 1e-30
@@ -449,31 +449,31 @@ def run_chains(
     """Run ``settings.n_chains`` chains on distinct streams and assemble a DrawStore.
 
     ``overdispersion`` defaults to 0.1 for multi-chain runs (dispersed
-    starts) and 0 for single chains.
+    starts) and 0 for single chains. Each recorded quantity is allocated
+    once as (n_chains, n_kept, ...), shaped by :func:`unit_state`, and each
+    chain's draws are copied into its slice and dropped before the next
+    chain runs; phi is then formed by :func:`glsae.summary.phi_draws`, so
+    the peak is the store plus one chain's draws or one (chain, kept, I, J)
+    work buffer.
     """
     if settings.n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     if overdispersion is None:
         overdispersion = 0.1 if settings.n_chains > 1 else 0.0
-    per_chain = [
-        run_chain(panel, model, settings, stream_base + c, overdispersion=overdispersion)[0]
-        for c in range(settings.n_chains)
-    ]
-
     names = _recorded_quantities(model, settings.monitor)
-    draws = {n: np.stack([pc[n] for pc in per_chain], axis=0) for n in names}
+    layout = unit_state(model, panel.n_areas, panel.n_sources)
+    lead = (settings.n_chains, settings.n_kept)
+    draws = {n: np.empty(lead + np.shape(getattr(layout, n))) for n in names}
+    for c in range(settings.n_chains):
+        recorded = run_chain(panel, model, settings, stream_base + c, overdispersion=overdispersion)[0]
+        for n in names:
+            draws[n][c] = recorded[n]
+        del recorded
 
     if "phi" in settings.monitor:
-        lam_ij = draws.get("lambda_ij")
-        dec = _summary.decompose(
-            panel,
-            model,
-            lam_ij,
-            draws["lambda_i"],
-            draws["tau1_sq"] if "tau1_sq" in draws else np.ones(draws["lambda_i"].shape[:2]),
-            draws["tau2_sq"],
+        draws["phi"] = _summary.phi_draws(
+            panel, model, draws.get("lambda_ij"), draws["lambda_i"], draws.get("tau1_sq"), draws["tau2_sq"]
         )
-        draws["phi"] = dec.phi
     if "variances" not in settings.monitor:
         for n in _VARIANCES:
             draws.pop(n, None)

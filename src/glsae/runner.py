@@ -11,8 +11,10 @@ produces identical tables. The key hashes the manifest payload together
 with a digest of the package source and the numpy version, so a run with
 another configuration or other code never reads them. Cache directories
 of other keys are named on stderr and left in place. Both commands check
-their inputs (models, baseline, grid, panel) before the output directory
-is created.
+their inputs (models, baseline, grid, panel, sampler settings, the fit's
+interval level and the replicate count) before the output directory is
+created. A fit samples one model at a time and releases its draws before
+the next model samples.
 
 Worker count comes from the GLSAE_WORKERS environment variable (default
 1; anything but an integer >= 1 is an error); work items are scheduled
@@ -137,12 +139,83 @@ def _save_draws(store: DrawStore, out: Path, tag: str) -> list[Path]:
     return written
 
 
+def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, fit_panel: SourcePanel,
+               out: Path, stamp: str, long_rows: list) -> list[Path]:
+    """Sample one variant, write its tables (and draws), append its plot rows.
+
+    The model's store and every array derived from it are local here, so
+    they are released before the next model samples.
+    """
+    store = run_chains(
+        fit_panel,
+        model,
+        settings,
+        overdispersion=config.overdispersion,
+        stream_base=derive_stream_id(_STREAM_FIT, m_idx),
+    )
+    written: list[Path] = []
+
+    summ = summarize(store, level=config.level, quantity="mu")
+    rows = [
+        (area, summ.mean[i], summ.sd[i], summ.lower[i], summ.upper[i])
+        for i, area in enumerate(fit_panel.areas)
+    ]
+    p = out / f"summary_{model.tag}.csv"
+    write_table(p, ("area", "post_mean", "post_sd", "lower", "upper"), rows, stamp)
+    written.append(p)
+    for i, area in enumerate(fit_panel.areas):
+        long_rows.append((area, model.tag, "post_mean", summ.mean[i]))
+        long_rows.append((area, model.tag, "post_sd", summ.sd[i]))
+        long_rows.append((area, model.tag, "lower", summ.lower[i]))
+        long_rows.append((area, model.tag, "upper", summ.upper[i]))
+
+    fives = phi_distribution(store)
+    p = out / f"phi_{model.tag}.csv"
+    write_table(
+        p,
+        ("area", "min", "q1", "median", "q3", "max"),
+        [(area, *fives[i]) for i, area in enumerate(fit_panel.areas)],
+        stamp,
+    )
+    written.append(p)
+
+    if model.theta_variance_form == "source":
+        kap = kappa_weights(fit_panel, store.draws["lambda_ij"], store.draws["tau1_sq"])
+        kap_mean = kap.reshape((-1,) + fit_panel.v.shape).mean(axis=0)
+        rows = [
+            (area, src, kap_mean[i, j])
+            for i, area in enumerate(fit_panel.areas)
+            for j, src in enumerate(fit_panel.sources)
+        ]
+        p = out / f"kappa_{model.tag}.csv"
+        write_table(p, ("area", "source", "kappa_mean"), rows, stamp)
+        written.append(p)
+
+    if config.n_chains > 1:
+        report = rhat_report(store.draws["mu"], "mu", DEFAULT_THRESHOLD)
+        rows = [
+            (fit_panel.areas[k], value, "pass" if ok else "fail")
+            for k, (name, value, ok) in enumerate(report.rows())
+        ]
+        p = out / f"rhat_{model.tag}.csv"
+        write_table(p, ("area", "split_rhat", "status"), rows, stamp)
+        written.append(p)
+
+    if config.save_draws:
+        written.extend(_save_draws(store, out, model.tag))
+    return written
+
+
 def run_fit(config: FitConfig) -> dict:
     """Fit the requested variants on one panel; returns the manifest payload.
 
-    The panel, the sampler settings and every model (with its panel
-    columns) are checked before the output directory is created.
+    The panel, the sampler settings, the interval level and every model
+    (with its panel columns) are checked before the output directory is
+    created. One model is sampled at a time, and its draws are released
+    before the next one samples.
     """
+    if not 0.0 < config.level < 1.0:
+        raise ValueError("level must be in (0, 1)")
     panel = load_panel(config.panel_path)
     payload = config.to_payload()
     stamp = manifest_hash(payload)
@@ -161,65 +234,9 @@ def run_fit(config: FitConfig) -> dict:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    long_rows = []
-
+    long_rows: list[tuple] = []
     for m_idx, (model, fit_panel) in enumerate(fits):
-        store = run_chains(
-            fit_panel,
-            model,
-            settings,
-            overdispersion=config.overdispersion,
-            stream_base=derive_stream_id(_STREAM_FIT, m_idx),
-        )
-
-        summ = summarize(store, level=config.level, quantity="mu")
-        rows = [
-            (area, summ.mean[i], summ.sd[i], summ.lower[i], summ.upper[i])
-            for i, area in enumerate(fit_panel.areas)
-        ]
-        p = out / f"summary_{model.tag}.csv"
-        write_table(p, ("area", "post_mean", "post_sd", "lower", "upper"), rows, stamp)
-        written.append(p)
-        for i, area in enumerate(fit_panel.areas):
-            long_rows.append((area, model.tag, "post_mean", summ.mean[i]))
-            long_rows.append((area, model.tag, "post_sd", summ.sd[i]))
-            long_rows.append((area, model.tag, "lower", summ.lower[i]))
-            long_rows.append((area, model.tag, "upper", summ.upper[i]))
-
-        fives = phi_distribution(store)
-        p = out / f"phi_{model.tag}.csv"
-        write_table(
-            p,
-            ("area", "min", "q1", "median", "q3", "max"),
-            [(area, *fives[i]) for i, area in enumerate(fit_panel.areas)],
-            stamp,
-        )
-        written.append(p)
-
-        if model.theta_variance_form == "source":
-            kap = kappa_weights(fit_panel, store.draws["lambda_ij"], store.draws["tau1_sq"])
-            kap_mean = kap.reshape((-1,) + kap.shape[2:]).mean(axis=0)
-            rows = [
-                (area, src, kap_mean[i, j])
-                for i, area in enumerate(fit_panel.areas)
-                for j, src in enumerate(fit_panel.sources)
-            ]
-            p = out / f"kappa_{model.tag}.csv"
-            write_table(p, ("area", "source", "kappa_mean"), rows, stamp)
-            written.append(p)
-
-        if config.n_chains > 1:
-            report = rhat_report(store.draws["mu"], "mu", DEFAULT_THRESHOLD)
-            rows = [
-                (fit_panel.areas[k], value, "pass" if ok else "fail")
-                for k, (name, value, ok) in enumerate(report.rows())
-            ]
-            p = out / f"rhat_{model.tag}.csv"
-            write_table(p, ("area", "split_rhat", "status"), rows, stamp)
-            written.append(p)
-
-        if config.save_draws:
-            written.extend(_save_draws(store, out, model.tag))
+        written.extend(_fit_model(config, settings, m_idx, model, fit_panel, out, stamp, long_rows))
 
     p = out / "plot_long.csv"
     write_table(p, ("area", "model", "quantity", "value"), long_rows, stamp)
@@ -307,19 +324,24 @@ def apply_preset(name: str) -> dict:
     raise ValueError(f"unknown preset {name!r}")
 
 
+def _sim_settings(seed: int, n_iter: int, n_burnin: int, thin: int) -> SamplerSettings:
+    """One replicate fit's settings: a single chain monitoring mu."""
+    return SamplerSettings(
+        seed=seed, n_iter=n_iter, n_burnin=n_burnin, n_chains=1, thin=thin,
+        monitor=frozenset({"mu"}),
+    )
+
+
 def _sim_item(args) -> tuple[int, int, dict[str, dict]]:
     (spec, rep, targets, seed, n_iter, n_burnin, thin) = args
     data = generate(spec, rep, RngStream(seed, derive_stream_id(spec.case_id, spec.row, rep, _STREAM_GEN)))
+    settings = _sim_settings(seed, n_iter, n_burnin, thin)
     out: dict[str, dict] = {}
     for t_idx, target in enumerate(targets):
         model = variant(target.tag)
         fit_panel = data.panel
         if target.source_index is not None:
             fit_panel = fit_panel.select_source(target.source_index)
-        settings = SamplerSettings(
-            seed=seed, n_iter=n_iter, n_burnin=n_burnin, n_chains=1, thin=thin,
-            monitor=frozenset({"mu"}),
-        )
         store = run_chains(
             fit_panel, model, settings,
             stream_base=derive_stream_id(spec.case_id, spec.row, rep, _STREAM_MODEL0 + t_idx),
@@ -372,6 +394,9 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     """
     if workers is None:
         workers = worker_count()
+    if config.n_replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {config.n_replicates}")
+    _sim_settings(config.seed, config.n_iter, config.n_burnin, config.thin)  # raises on bad sweep counts
     out = Path(config.out_dir)
     payload = config.to_payload()
     stamp = manifest_hash(payload)

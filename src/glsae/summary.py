@@ -53,13 +53,15 @@ def source_variance(
     lambda_i,
     tau1_sq,
     shape: tuple[int, int] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The source-level variance a_ij implied by the variant structure.
 
     A float ``tau1_sq`` is one draw, with the lambdas given as arrays (the
-    sampler's case); otherwise every argument may carry leading draw axes.
-    ``shape`` supplies (I, J) for the unit form, whose variance carries no
-    local factors.
+    sampler's case); otherwise every argument may carry leading draw axes,
+    and ``out``, when given, receives the batch's a in place. ``shape``
+    supplies (I, J) for the unit form, whose variance carries no local
+    factors.
     """
     form = model.theta_variance_form
     if form not in ("product", "source", "unit"):
@@ -73,12 +75,23 @@ def source_variance(
     else:
         tau1 = np.asarray(tau1_sq, dtype=float)[..., None, None]
         if form == "unit":
-            return np.broadcast_to(tau1, tau1.shape[:-2] + tuple(shape)) + 0.0
+            return np.add(np.broadcast_to(tau1, tau1.shape[:-2] + tuple(shape)), 0.0, out=out)
         lambda_ij = np.asarray(lambda_ij)
         lambda_i = np.asarray(lambda_i)
     if form == "product":
-        return lambda_ij * lambda_i[..., None] * tau1
-    return lambda_ij * tau1
+        lambda_ij = np.multiply(lambda_ij, lambda_i[..., None], out=out)
+    return np.multiply(lambda_ij, tau1, out=out)
+
+
+def _weights_and_h2(s2, out: np.ndarray | None = None):
+    """Cell weights w = 1/s2 (into ``out`` when given) and h2 = 1 / sum_j w.
+
+    np.reciprocal is 1.0 / s2 to the bit, as in glsae.gibbs; this is the
+    one place h2 is formed, for the sampler and for the phi draws alike.
+    """
+    w = np.reciprocal(s2, out=out)
+    h2 = np.add.reduce(w, -1)
+    return w, np.reciprocal(h2, out=h2)
 
 
 def collapse(
@@ -111,8 +124,7 @@ def collapse(
         return None, s2, np.broadcast_to(panel.h2_v, A.shape), np.broadcast_to(panel.ybar_v, A.shape), A
     a = source_variance(model, lambda_ij, lambda_i, tau1_sq, shape=v.shape)
     s2 = v + a
-    w = np.reciprocal(s2)  # 1.0 / s2 to the bit, as in glsae.gibbs
-    h2 = np.reciprocal(np.add.reduce(w, -1))
+    w, h2 = _weights_and_h2(s2)
     ybar = np.add.reduce(panel.y * w, -1) * h2
     return a, s2, h2, ybar, A
 
@@ -230,15 +242,47 @@ def conditional_mean_joint_solve(
     return sol[:I]
 
 
+def phi_draws(
+    panel: SourcePanel,
+    model: ModelVariant,
+    lambda_ij,
+    lambda_i,
+    tau1_sq,
+    tau2_sq,
+) -> np.ndarray:
+    """phi = A / (A + h2) for a batch of draws, bit-identical to ``decompose(...).phi``.
+
+    Takes the arguments of :func:`decompose` (``tau1_sq`` is ignored
+    without a th level) but forms only phi: the (..., I, J) work runs in one
+    buffer, overwritten in place from a to v + a to 1/s2 before the sum
+    over sources, and A becomes phi in place.
+    """
+    lambda_i = np.asarray(lambda_i, dtype=float)
+    A = lambda_i * np.asarray(tau2_sq, dtype=float)[..., None]
+    v = panel.v
+    if model.has_theta_level:
+        buf = np.empty(lambda_i.shape + v.shape[-1:])
+        source_variance(model, lambda_ij, lambda_i, tau1_sq, shape=v.shape, out=buf)
+        np.add(v, buf, out=buf)
+        _, h2 = _weights_and_h2(buf, out=buf)
+        den = np.add(A, h2, out=h2)
+    else:
+        den = A + panel.h2_v
+    return np.divide(A, den, out=A)
+
+
 def kappa_weights(panel: SourcePanel, lambda_ij, tau1_sq) -> np.ndarray:
     """Source-level shrinkage weights v / (v + lam_ij * tau1_sq).
 
     Defined for the source-form variants (m1a/m1b), where the weight
     controls how far each source estimate is pulled toward its area mean.
-    Broadcasts over leading draw axes of ``lambda_ij``/``tau1_sq``.
+    Broadcasts over leading draw axes of ``lambda_ij``/``tau1_sq``; the
+    batch is formed in one buffer, overwritten in place.
     """
     t = np.asarray(tau1_sq, dtype=float)[..., None, None]
-    return panel.v / (panel.v + np.asarray(lambda_ij) * t)
+    buf = np.multiply(lambda_ij, t)
+    np.add(panel.v, buf, out=buf)
+    return np.divide(panel.v, buf, out=buf)
 
 
 @dataclass(frozen=True)

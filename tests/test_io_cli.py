@@ -143,17 +143,25 @@ def test_fit_one_source_needs_source_flag(tmp_path, panel_file, capsys):
     assert len(rows) == 8
 
 
-@pytest.mark.parametrize("panel, models, message", [
-    ("missing.csv", "m12", "No such file or directory: 'missing.csv'"),
-    (None, "m12,zzz", "unknown variant tag 'zzz'"),
-    (None, "m12,one-source", "needs --source"),
-])
-def test_fit_rejects_bad_input_before_writing(tmp_path, panel_file, capsys, monkeypatch, panel, models, message):
+_FIT_REFUSALS = [
+    ("missing.csv", "m12", [], "No such file or directory: 'missing.csv'"),
+    (None, "m12,zzz", [], "unknown variant tag 'zzz'"),
+    (None, "m12,one-source", [], "needs --source"),
+    (None, "m12", ["--level", "1.5"], "level must be in (0, 1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "panel, models, extra, message", _FIT_REFUSALS, ids=[f"{p}-{m}-{msg}" for p, m, _, msg in _FIT_REFUSALS]
+)
+def test_fit_rejects_bad_input_before_writing(
+    tmp_path, panel_file, capsys, monkeypatch, panel, models, extra, message
+):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "o"
     assert main([
         "fit", "--panel", panel or str(panel_file), "--model", models,
-        "--iters", "50", "--burnin", "10", "--seed", "1", "--out", str(out),
+        "--iters", "50", "--burnin", "10", "--seed", "1", "--out", str(out), *extra,
     ]) == 2
     assert message in _one_error_line(capsys)
     assert not out.exists()
@@ -438,6 +446,18 @@ def test_simulate_rejects_unknown_baseline(tmp_path, capsys):
 def test_simulate_rejects_bad_model_list_before_writing(tmp_path, capsys, models, message):
     out = tmp_path / "x"
     assert main(_toy_simulate(3) + [str(out), "--models", models, "--baseline", "m1a"]) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--replicates", "0"], "replicates must be >= 1, got 0"),
+    (["--iters", "10", "--burnin", "20"], "need 0 <= n_burnin < n_iter"),
+])
+def test_simulate_rejects_bad_settings_before_writing(tmp_path, monkeypatch, capsys, extra, message):
+    monkeypatch.setenv("GLSAE_WORKERS", "2")
+    out = tmp_path / "x"
+    assert main(_toy_simulate(3) + [str(out), *extra]) == 2
     assert message in _one_error_line(capsys)
     assert not out.exists()
 

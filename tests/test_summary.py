@@ -10,6 +10,7 @@ from glsae.summary import (
     decompose,
     kappa_weights,
     phi_distribution,
+    phi_draws,
     summarize,
 )
 
@@ -233,3 +234,36 @@ def test_decompose_batch_matches_single(small_panel):
     one = decompose(small_panel, model, lam_ij[2, 3], lam_i[2, 3], float(t1[2, 3]), float(t2[2, 3]))
     assert np.allclose(batch.cond_mean[2, 3], one.cond_mean, atol=1e-14)
     assert np.allclose(batch.phi[2, 3], one.phi, atol=1e-14)
+
+
+@pytest.mark.parametrize("tag", ["m11a", "m11b", "m1a", "m1b", "m12", "one_source"])
+def test_phi_draws_bit_identical_to_decompose(tag, small_panel):
+    """The one-buffer phi path gives decompose's phi to the bit, on a (chain, kept) batch."""
+    model = variant(tag)
+    panel = small_panel if model.has_theta_level else small_panel.select_source(0)
+    I, J = panel.n_areas, panel.n_sources
+    gen = np.random.default_rng(23)
+    lead = (5, 40)
+    lam_ij = np.exp(gen.normal(0.0, 3.0, size=lead + (I, J))) if model.has_local_ij else None
+    lam_i = np.ones(lead + (I,)) if model.local_prior == "unit" else np.exp(gen.normal(0.0, 3.0, size=lead + (I,)))
+    # one-source carries no tau1 draws; the store used to pass ones to decompose
+    t1 = np.exp(gen.normal(-2.0, 3.0, size=lead)) if model.has_theta_level else np.ones(lead)
+    t2 = np.exp(gen.normal(-2.0, 3.0, size=lead))
+    phi = phi_draws(panel, model, lam_ij, lam_i, t1, t2)
+    assert phi.shape == lead + (I,)
+    assert phi.tobytes() == decompose(panel, model, lam_ij, lam_i, t1, t2).phi.tobytes()
+
+    settings = SamplerSettings(seed=4, n_iter=60, n_burnin=10, n_chains=2, monitor=frozenset({"variances", "phi"}))
+    d = run_chains(panel, model, settings).draws
+    ones = np.ones(d["lambda_i"].shape[:2])
+    dec = decompose(panel, model, d.get("lambda_ij"), d["lambda_i"], d.get("tau1_sq", ones), d["tau2_sq"])
+    assert d["phi"].tobytes() == dec.phi.tobytes()
+
+
+def test_kappa_weights_bit_identical_to_formula(small_panel):
+    gen = np.random.default_rng(24)
+    lam_ij = np.exp(gen.normal(0.0, 3.0, size=(5, 40, 3, 2)))
+    t1 = np.exp(gen.normal(-2.0, 3.0, size=(5, 40)))
+    v = small_panel.v
+    kap = kappa_weights(small_panel, lam_ij, t1)
+    assert kap.tobytes() == (v / (v + lam_ij * t1[..., None, None])).tobytes()
