@@ -18,18 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_THRESHOLD = 1.05
+MIN_DRAWS = 4  # per chain: each half-chain needs two draws for its variance
 
 
 def split_rhat(chains) -> float:
     """Split-R-hat for one scalar; ``chains`` is (n_chains, n_draws).
 
-    Needs at least 2 chains of at least 4 draws (an odd draw count loses
-    its last draw). Conventions: identical draws everywhere give 1.0;
-    zero within-chain variance with spread between chains gives +inf.
+    Needs at least 2 chains of at least ``MIN_DRAWS`` draws (an odd draw
+    count loses its last draw). Conventions: identical draws everywhere
+    give 1.0; zero within-chain variance with spread between chains gives
+    +inf.
     """
     arr = np.asarray(chains, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 4:
-        raise ValueError("need at least 2 chains with at least 4 draws each")
+    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < MIN_DRAWS:
+        raise ValueError(f"need at least 2 chains with at least {MIN_DRAWS} draws each")
     n2 = arr.shape[1] // 2
     halves = np.concatenate([arr[:, :n2], arr[:, n2 : 2 * n2]], axis=0)
     m, n = halves.shape

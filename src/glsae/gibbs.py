@@ -380,23 +380,31 @@ def load_checkpoint(path) -> tuple[ModelVariant, ChainState, int, RngStream]:
     return ModelVariant(payload["variant"]), state, int(payload["iteration"]), rng
 
 
+def empty_draws(panel: SourcePanel, model: ModelVariant, settings: SamplerSettings, lead=()) -> dict[str, np.ndarray]:
+    """The one store allocator: an empty (*lead, n_kept, ...) array per recorded quantity, shaped by unit_state."""
+    layout = unit_state(model, panel.n_areas, panel.n_sources)
+    kept = (*lead, settings.n_kept)
+    return {n: np.empty(kept + np.shape(getattr(layout, n))) for n in _recorded_quantities(model, settings.monitor)}
+
+
 def run_chain(
     panel: SourcePanel,
     model: ModelVariant,
     settings: SamplerSettings,
     stream_id: int,
+    draws: dict[str, np.ndarray],
     *,
     overdispersion: float = 0.0,
     stop_after: int | None = None,
     checkpoint_path=None,
     resume_path=None,
-) -> tuple[dict[str, np.ndarray], tuple[int, int]]:
-    """Run one chain; returns recorded draws and the kept-index range filled.
+) -> tuple[int, int]:
+    """Run one chain into ``draws`` (:func:`empty_draws` rows); returns the kept-index range filled.
 
     Deterministic given (settings.seed, stream_id). ``stop_after`` ends the
     run early after that many iterations (writing ``checkpoint_path`` if
     given); ``resume_path`` continues a checkpointed chain, and the two
-    pieces concatenate to exactly the uninterrupted run. A checkpoint of
+    pieces fill exactly the draws of the uninterrupted run. A checkpoint of
     another variant, seed or stream, or one past ``settings.n_iter``, is
     refused with ``ValueError``.
     """
@@ -413,29 +421,19 @@ def run_chain(
         start_iter = 0
     stop = settings.n_iter if stop_after is None else min(stop_after, settings.n_iter)
 
-    names = _recorded_quantities(model, settings.monitor)
-    recorded = {n: np.zeros((settings.n_kept,) + np.shape(getattr(state, n))) for n in names}
-
-    k_first = None
-    k_last = -1
     for it in range(start_iter, stop):
         sweep(state, panel, model, rng)
         _check_finite(state, it)
         offset = it - settings.n_burnin
         if offset >= 0 and offset % settings.thin == 0:
             k = offset // settings.thin
-            if k_first is None:
-                k_first = k
-            k_last = k
-            for n in names:
-                val = getattr(state, n)
-                recorded[n][k] = val
+            for n, arr in draws.items():
+                arr[k] = getattr(state, n)
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, model, state, stop, rng)
-    if k_first is None:
-        k_first = 0
-        k_last = -1
-    return recorded, (k_first, k_last + 1)
+    # sweep n_burnin + k * thin is kept as index k; a piece that keeps nothing reports (0, 0)
+    first, end = (-(-max(s - settings.n_burnin, 0) // settings.thin) for s in (start_iter, stop))
+    return (first, end) if first < end else (0, 0)
 
 
 def run_chains(
@@ -449,26 +447,18 @@ def run_chains(
     """Run ``settings.n_chains`` chains on distinct streams and assemble a DrawStore.
 
     ``overdispersion`` defaults to 0.1 for multi-chain runs (dispersed
-    starts) and 0 for single chains. Each recorded quantity is allocated
-    once as (n_chains, n_kept, ...), shaped by :func:`unit_state`, and each
-    chain's draws are copied into its slice and dropped before the next
-    chain runs; phi is then formed by :func:`glsae.summary.phi_draws`, so
-    the peak is the store plus one chain's draws or one (chain, kept, I, J)
-    work buffer.
+    starts) and 0 for single chains. The store comes from
+    :func:`empty_draws` with a chain axis, and each chain writes its draws
+    straight into its own rows; phi is then formed by
+    :func:`glsae.summary.phi_draws`, so the peak is the store plus one
+    (chain, kept, I, J) work buffer.
     """
-    if settings.n_chains < 1:
-        raise ValueError("n_chains must be >= 1")
     if overdispersion is None:
         overdispersion = 0.1 if settings.n_chains > 1 else 0.0
-    names = _recorded_quantities(model, settings.monitor)
-    layout = unit_state(model, panel.n_areas, panel.n_sources)
-    lead = (settings.n_chains, settings.n_kept)
-    draws = {n: np.empty(lead + np.shape(getattr(layout, n))) for n in names}
+    draws = empty_draws(panel, model, settings, lead=(settings.n_chains,))
     for c in range(settings.n_chains):
-        recorded = run_chain(panel, model, settings, stream_base + c, overdispersion=overdispersion)[0]
-        for n in names:
-            draws[n][c] = recorded[n]
-        del recorded
+        run_chain(panel, model, settings, stream_base + c, {n: a[c] for n, a in draws.items()},
+                  overdispersion=overdispersion)
 
     if "phi" in settings.monitor:
         draws["phi"] = _summary.phi_draws(

@@ -11,10 +11,12 @@ produces identical tables. The key hashes the manifest payload together
 with a digest of the package source and the numpy version, so a run with
 another configuration or other code never reads them. Cache directories
 of other keys are named on stderr and left in place. Both commands check
-their inputs (models, baseline, grid, panel, sampler settings, the fit's
-interval level and the replicate count) before the output directory is
-created. A fit samples one model at a time and releases its draws before
-the next model samples.
+their inputs before the output directory is created: the models (each
+listed once), the simulation baseline, grid and row selection (every
+selected row must be in the grid), the panel, the sampler settings, the
+fit's interval level, the kept draws per chain that a multi-chain fit's
+split-R-hat needs, and the replicate count. A fit samples one model at a
+time and releases its draws before the next model samples.
 
 Worker count comes from the GLSAE_WORKERS environment variable (default
 1; anything but an integer >= 1 is an error); work items are scheduled
@@ -37,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import DEFAULT_THRESHOLD, rhat_report
+from .diagnostics import DEFAULT_THRESHOLD, MIN_DRAWS, rhat_report
 from .gibbs import DrawStore, run_chains
 from .io import load_panel, manifest_hash, sha256_file, write_manifest, write_table
 from .metrics import FitScore, MEASURES, aggregate, best_model_counts, discrepancy_ratio, score
@@ -78,7 +80,6 @@ class FitConfig:
     thin: int = 1
     source: str | None = None
     level: float = 0.95
-    overdispersion: float | None = None
     save_draws: bool = True
 
     def to_payload(self) -> dict:
@@ -95,7 +96,7 @@ class FitConfig:
             "thin": self.thin,
             "source": self.source,
             "level": self.level,
-            "overdispersion": self.overdispersion,
+            "overdispersion": None,  # run_chains picks it from n_chains; the key keeps manifest hashes stable
         }
 
 
@@ -146,13 +147,7 @@ def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, 
     The model's store and every array derived from it are local here, so
     they are released before the next model samples.
     """
-    store = run_chains(
-        fit_panel,
-        model,
-        settings,
-        overdispersion=config.overdispersion,
-        stream_base=derive_stream_id(_STREAM_FIT, m_idx),
-    )
+    store = run_chains(fit_panel, model, settings, stream_base=derive_stream_id(_STREAM_FIT, m_idx))
     written: list[Path] = []
 
     summ = summarize(store, level=config.level, quantity="mu")
@@ -209,10 +204,11 @@ def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, 
 def run_fit(config: FitConfig) -> dict:
     """Fit the requested variants on one panel; returns the manifest payload.
 
-    The panel, the sampler settings, the interval level and every model
-    (with its panel columns) are checked before the output directory is
-    created. One model is sampled at a time, and its draws are released
-    before the next one samples.
+    The panel, the sampler settings (with enough kept draws for
+    split-R-hat when several chains run), the interval level and every
+    model (listed once, with its panel columns) are checked before the
+    output directory is created. One model is sampled at a time, and its
+    draws are released before the next one samples.
     """
     if not 0.0 < config.level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -227,15 +223,19 @@ def run_fit(config: FitConfig) -> dict:
         thin=config.thin,
         monitor=frozenset({"mu", "eta", "variances", "phi"}),
     )
-    fits = []
+    if settings.n_chains > 1 and settings.n_kept < MIN_DRAWS:
+        raise ValueError(f"split-R-hat needs at least {MIN_DRAWS} kept draws per chain, got {settings.n_kept}")
+    fits = {}
     for tag in config.models:
         model = variant(tag)
-        fits.append((model, _fit_panel_for(model, panel, config.source)))
+        if model in fits:
+            raise ValueError(f"model {model.tag!r} is listed twice")
+        fits[model] = _fit_panel_for(model, panel, config.source)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     long_rows: list[tuple] = []
-    for m_idx, (model, fit_panel) in enumerate(fits):
+    for m_idx, (model, fit_panel) in enumerate(fits.items()):
         written.extend(_fit_model(config, settings, m_idx, model, fit_panel, out, stamp, long_rows))
 
     p = out / "plot_long.csv"
@@ -280,7 +280,6 @@ class SimConfig:
     n_replicates: int = 30
     n_iter: int = 6000
     n_burnin: int = 1000
-    thin: int = 1
     n_sources: int = 2
     bootstrap_v: bool = False  # redraw sampling variances per replicate from the pool
     v_panel: str | None = None
@@ -304,7 +303,7 @@ class SimConfig:
             "n_replicates": self.n_replicates,
             "n_iter": self.n_iter,
             "n_burnin": self.n_burnin,
-            "thin": self.thin,
+            "thin": 1,  # replicate fits keep every sweep; the key keeps manifest hashes stable
             "n_sources": self.n_sources,
             "bootstrap_v": self.bootstrap_v,
             "v_panel": self.v_panel and str(self.v_panel),
@@ -324,18 +323,11 @@ def apply_preset(name: str) -> dict:
     raise ValueError(f"unknown preset {name!r}")
 
 
-def _sim_settings(seed: int, n_iter: int, n_burnin: int, thin: int) -> SamplerSettings:
-    """One replicate fit's settings: a single chain monitoring mu."""
-    return SamplerSettings(
-        seed=seed, n_iter=n_iter, n_burnin=n_burnin, n_chains=1, thin=thin,
-        monitor=frozenset({"mu"}),
-    )
-
-
 def _sim_item(args) -> tuple[int, int, dict[str, dict]]:
-    (spec, rep, targets, seed, n_iter, n_burnin, thin) = args
-    data = generate(spec, rep, RngStream(seed, derive_stream_id(spec.case_id, spec.row, rep, _STREAM_GEN)))
-    settings = _sim_settings(seed, n_iter, n_burnin, thin)
+    """Generate, fit and score one (row, replicate); ``args`` is (spec, rep, targets, settings)."""
+    spec, rep, targets, settings = args
+    gen_rng = RngStream(settings.seed, derive_stream_id(spec.case_id, spec.row, rep, _STREAM_GEN))
+    data = generate(spec, rep, gen_rng)
     out: dict[str, dict] = {}
     for t_idx, target in enumerate(targets):
         model = variant(target.tag)
@@ -396,7 +388,9 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
         workers = worker_count()
     if config.n_replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {config.n_replicates}")
-    _sim_settings(config.seed, config.n_iter, config.n_burnin, config.thin)  # raises on bad sweep counts
+    # every replicate fit: a single chain monitoring mu
+    settings = SamplerSettings(seed=config.seed, n_iter=config.n_iter, n_burnin=config.n_burnin,
+                               monitor=frozenset({"mu"}))
     out = Path(config.out_dir)
     payload = config.to_payload()
     stamp = manifest_hash(payload)
@@ -433,10 +427,12 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     else:
         specs = spec_table(config.case, **common)
     if config.rows is not None:
-        wanted = set(config.rows)
-        specs = [s for s in specs if s.row in wanted]
+        missing = sorted(set(config.rows) - {s.row for s in specs})
+        specs = [s for s in specs if s.row in config.rows]
+        if missing:
+            raise ValueError(f"rows {missing} are not in the case {config.case} grid")
         if not specs:
-            raise ValueError(f"row selection {sorted(wanted)} matched nothing")
+            raise ValueError("no rows selected")
 
     # the cache key also covers the code and numpy, so scores from another
     # sampler are never reused; the tables keep the manifest stamp
@@ -459,7 +455,7 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
             if hit is not None:
                 cached[(spec.row, rep)] = hit
             else:
-                items.append((spec, rep, targets, config.seed, config.n_iter, config.n_burnin, config.thin))
+                items.append((spec, rep, targets, settings))
 
     with ExitStack() as stack:
         if workers > 1 and len(items) > 1:

@@ -4,11 +4,14 @@ The traced benchmark run counts calls to ``glsae.gibbs.sweep`` and expects
 one per chain-sweep (fit) or replicate-sweep (simulate); its output check
 reads one cache JSON per (row, replicate) item, holding
 ``scores[model][measure]`` for every fitted model. A sampler that batches
-chains or replicates has to change that counter and check first.
+chains or replicates has to change that counter and check first. The
+tracer wraps functions by name, so each name it wraps must keep resolving.
 """
 
+import importlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +48,8 @@ def test_sim_item_sweeps_once_per_replicate_sweep(sweep_calls):
     spec = spec_table(1, n_replicates=1)[0]
     targets = tuple(parse_target(m) for m in ("m1a", "m12", "mbr"))
     n_iter = 30
-    _, _, scores = _sim_item((spec, 0, targets, 5, n_iter, 10, 1))
+    settings = SamplerSettings(seed=5, n_iter=n_iter, n_burnin=10, monitor=frozenset({"mu"}))
+    _, _, scores = _sim_item((spec, 0, targets, settings))
     assert sweep_calls[0] == len(targets) * n_iter
     assert set(scores) == {t.name for t in targets}
 
@@ -66,3 +70,12 @@ def test_simulate_leaves_one_scored_cache_file_per_item(tmp_path, monkeypatch, s
         scores = json.loads(path.read_text(encoding="utf-8"))["scores"]
         values = [float(scores[m][k]) for m in models for k in MEASURES]
         assert all(math.isfinite(v) for v in values), path.name
+
+
+def test_tracer_hooks_resolve(monkeypatch):
+    """Every (module, attribute) the traced benchmark run wraps still exists."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    hooks = [(module, attr) for module, attr, _ in tracing.TIMED + tracing.COUNTED]
+    missing = [hook for hook in hooks if not hasattr(importlib.import_module(hook[0]), hook[1])]
+    assert hooks and not missing

@@ -8,6 +8,7 @@ from glsae.distributions import logpdf, GigParams, InverseGammaParams
 from glsae.gibbs import (
     SamplerDivergence,
     _residuals,
+    empty_draws,
     eta_collapsed_conditional,
     lambda_i_conditional,
     lambda_ij_conditional,
@@ -337,17 +338,23 @@ def test_conditionals_match_log_joint(small_panel, tag):
 # chain driver behavior
 
 
+def _run_chain(panel, model, settings, stream_id, **kwargs):
+    """One chain recorded into a store of its own; returns the store and the kept range."""
+    draws = empty_draws(panel, model, settings)
+    return draws, run_chain(panel, model, settings, stream_id, draws, **kwargs)
+
+
 def test_run_chain_bookkeeping(small_panel):
     settings = SamplerSettings(seed=5, n_iter=10, n_burnin=5, n_chains=1, monitor=frozenset({"mu"}))
-    draws, (k0, k1) = run_chain(small_panel, variant("m11a"), settings, stream_id=0)
+    draws, (k0, k1) = _run_chain(small_panel, variant("m11a"), settings, stream_id=0)
     assert draws["mu"].shape == (5, 3)
     assert (k0, k1) == (0, 5)
 
 
 def test_run_chain_deterministic(small_panel):
     settings = SamplerSettings(seed=5, n_iter=50, n_burnin=10, monitor=frozenset({"mu", "variances"}))
-    a, _ = run_chain(small_panel, variant("m11b"), settings, stream_id=3)
-    b, _ = run_chain(small_panel, variant("m11b"), settings, stream_id=3)
+    a, _ = _run_chain(small_panel, variant("m11b"), settings, stream_id=3)
+    b, _ = _run_chain(small_panel, variant("m11b"), settings, stream_id=3)
     for key in a:
         assert np.array_equal(a[key], b[key])
 
@@ -372,7 +379,7 @@ def test_m12_equals_pinned_m11a(small_panel):
     m11a = variant("m11a")
     settings = SamplerSettings(seed=7, n_iter=40, n_burnin=0, monitor=frozenset({"mu"}))
 
-    draws_m12, _ = run_chain(small_panel, m12, settings, stream_id=2)
+    draws_m12, _ = _run_chain(small_panel, m12, settings, stream_id=2)
 
     rng = RngStream(settings.seed, 2)
     state = init_state(small_panel, m12, 0.0, rng)  # same init draw pattern
@@ -460,18 +467,22 @@ def test_divergence_abort_reports_location(small_panel, tag, spoil, message):
         _check_finite(state, 3)
 
 
-def test_checkpoint_restart_is_bit_identical(small_panel, tmp_path):
-    settings = SamplerSettings(seed=9, n_iter=80, n_burnin=20, monitor=frozenset({"mu", "variances"}))
+@pytest.mark.parametrize("thin, stop_after, first, second", [
+    (1, 50, (0, 30), (30, 60)),
+    (3, 15, (0, 0), (0, 20)),  # the checkpoint falls inside burn-in, so the first piece keeps nothing
+], ids=["thin1", "thin3-in-burnin"])
+def test_checkpoint_restart_is_bit_identical(small_panel, tmp_path, thin, stop_after, first, second):
+    settings = SamplerSettings(seed=9, n_iter=80, n_burnin=20, thin=thin, monitor=frozenset({"mu", "variances"}))
     model = variant("m11b")
-    full, _ = run_chain(small_panel, model, settings, stream_id=1)
+    full, _ = _run_chain(small_panel, model, settings, stream_id=1)
 
     ck = tmp_path / "chain.ckpt.json"
-    part1, (a0, a1) = run_chain(small_panel, model, settings, stream_id=1, stop_after=50, checkpoint_path=ck)
-    part2, (b0, b1) = run_chain(small_panel, model, settings, stream_id=1, resume_path=ck)
-    assert (a0, a1) == (0, 30) and (b0, b1) == (30, 60)
-    merged = {k: np.concatenate([part1[k][a0:a1], part2[k][b0:b1]]) for k in full}
+    pieces = empty_draws(small_panel, model, settings)
+    assert run_chain(small_panel, model, settings, 1, pieces, stop_after=stop_after, checkpoint_path=ck) == first
+    assert run_chain(small_panel, model, settings, 1, pieces, resume_path=ck) == second
+    assert pieces.keys() == full.keys()
     for key in full:
-        assert np.array_equal(full[key], merged[key])
+        assert np.array_equal(full[key], pieces[key])
 
 
 def test_checkpoint_roundtrip_state(small_panel, tmp_path):
@@ -494,7 +505,7 @@ def _resume_settings(seed=9, n_iter=40):
 
 def _checkpoint(panel, model, stop_after, path):
     """Checkpoint of a seed-9, stream-1 chain of 40 sweeps, taken after ``stop_after`` of them."""
-    run_chain(panel, model, _resume_settings(), stream_id=1, stop_after=stop_after, checkpoint_path=path)
+    _run_chain(panel, model, _resume_settings(), stream_id=1, stop_after=stop_after, checkpoint_path=path)
     return path
 
 
@@ -503,20 +514,20 @@ def test_resume_rejects_checkpoint_of_another_stream(small_panel, tmp_path, seed
     model = variant("m11a")
     ck = _checkpoint(small_panel, model, 20, tmp_path / "chain.json")
     with pytest.raises(ValueError, match="variant, seed, stream"):
-        run_chain(small_panel, model, _resume_settings(seed), stream_id=stream_id, resume_path=ck)
+        _run_chain(small_panel, model, _resume_settings(seed), stream_id=stream_id, resume_path=ck)
 
 
 def test_resume_rejects_checkpoint_of_another_variant(small_panel, tmp_path):
     ck = _checkpoint(small_panel, variant("m11b"), 20, tmp_path / "chain.json")
     with pytest.raises(ValueError, match="m11b"):
-        run_chain(small_panel, variant("m11a"), _resume_settings(), stream_id=1, resume_path=ck)
+        _run_chain(small_panel, variant("m11a"), _resume_settings(), stream_id=1, resume_path=ck)
 
 
 def test_resume_rejects_checkpoint_past_n_iter(small_panel, tmp_path):
     model = variant("m1b")
     ck = _checkpoint(small_panel, model, 30, tmp_path / "chain.json")
     with pytest.raises(ValueError, match="iteration 30"):
-        run_chain(small_panel, model, _resume_settings(n_iter=25), stream_id=1, resume_path=ck)
+        _run_chain(small_panel, model, _resume_settings(n_iter=25), stream_id=1, resume_path=ck)
 
 
 @pytest.mark.parametrize("tag", ["m11a", "m11b", "m1a", "m1b", "m12", "one_source"])

@@ -148,6 +148,10 @@ _FIT_REFUSALS = [
     (None, "m12,zzz", [], "unknown variant tag 'zzz'"),
     (None, "m12,one-source", [], "needs --source"),
     (None, "m12", ["--level", "1.5"], "level must be in (0, 1)"),
+    (None, "m1a,m12,m1a", [], "model 'm1a' is listed twice"),
+    (None, "one-source,one_source", ["--source", "brfss"], "model 'one_source' is listed twice"),
+    (None, "m12", ["--chains", "2", "--iters", "5", "--burnin", "2"],
+     "split-R-hat needs at least 4 kept draws per chain, got 3"),
 ]
 
 
@@ -446,6 +450,17 @@ def test_simulate_rejects_unknown_baseline(tmp_path, capsys):
 def test_simulate_rejects_bad_model_list_before_writing(tmp_path, capsys, models, message):
     out = tmp_path / "x"
     assert main(_toy_simulate(3) + [str(out), "--models", models, "--baseline", "m1a"]) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,1,99", "rows [0, 99] are not in the case 1 grid"),
+    (",", "no rows selected"),
+])
+def test_simulate_rejects_rows_outside_the_grid_before_writing(tmp_path, capsys, rows, message):
+    out = tmp_path / "x"
+    assert main(_toy_simulate(3) + [str(out), "--rows", rows]) == 2
     assert message in _one_error_line(capsys)
     assert not out.exists()
 

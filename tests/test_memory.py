@@ -1,8 +1,9 @@
 """Memory bounds of a fit: one model's draw store plus one working buffer.
 
-``run_chains`` fills one (chain, kept, ...) array per recorded quantity
-and forms phi in one reused buffer, and ``run_fit`` releases each model's
-draws before the next model samples.
+``run_chains`` allocates one (chain, kept, ...) array per recorded
+quantity, each chain records straight into its rows, phi is formed in one
+reused buffer, and ``run_fit`` releases each model's draws before the next
+model samples.
 """
 
 import tracemalloc
@@ -46,6 +47,20 @@ def test_run_chains_peak_is_bounded_by_its_store(tag):
         tracemalloc.stop()
     nbytes = sum(arr.nbytes for arr in store.draws.values())
     assert peak <= 2.5 * nbytes, f"traced peak {peak / nbytes:.2f} x the store's {nbytes} bytes"
+
+
+def test_one_chain_records_into_its_store_without_a_copy():
+    """A replicate fit (one chain, mu only) holds its store and no per-chain buffer."""
+    panel = _panel()
+    settings = SamplerSettings(seed=9, n_iter=900, n_burnin=200, monitor=frozenset({"mu"}))
+    tracemalloc.start()
+    try:
+        store = run_chains(panel, variant("m1a"), settings)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = store.draws["mu"].nbytes
+    assert peak <= 1.25 * nbytes, f"traced peak {peak / nbytes:.2f} x the store's {nbytes} bytes"
 
 
 def test_run_fit_releases_each_model_before_the_next(tmp_path, monkeypatch):
