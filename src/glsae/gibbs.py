@@ -61,7 +61,6 @@ file is pinned to it (``tests/test_golden.py``).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -74,8 +73,6 @@ from .rng import RngStream
 
 _CHI_CLAMP = 1e-30
 _CHI_CLAMP_0D = np.array(_CHI_CLAMP)  # numpy converts a Python-float operand on every call
-CHECKPOINT_FORMAT = "glsae-chain-checkpoint"
-CHECKPOINT_VERSION = 2
 
 
 class SamplerDivergence(RuntimeError):
@@ -355,85 +352,11 @@ def _recorded_quantities(model: ModelVariant, monitor: frozenset[str]) -> list[s
     return [n for n in _QUANTITIES if n in wanted]
 
 
-def save_checkpoint(path, model: ModelVariant, state: ChainState, iteration: int, rng: RngStream) -> None:
-    """Versioned structured-text checkpoint: variant, state, iteration counter, RNG state."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "variant": model.tag,
-        "iteration": int(iteration),
-        "state": state.to_payload(),
-        "rng": {"seed": rng.seed, "stream_id": rng.stream_id, "state": rng.state()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path) -> tuple[ModelVariant, ChainState, int, RngStream]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT or payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"not a version-{CHECKPOINT_VERSION} chain checkpoint: {path}")
-    state = ChainState.from_payload(payload["state"])
-    rng = RngStream(payload["rng"]["seed"], payload["rng"]["stream_id"])
-    rng.set_state(payload["rng"]["state"])
-    return ModelVariant(payload["variant"]), state, int(payload["iteration"]), rng
-
-
-def empty_draws(panel: SourcePanel, model: ModelVariant, settings: SamplerSettings, lead=()) -> dict[str, np.ndarray]:
-    """The one store allocator: an empty (*lead, n_kept, ...) array per recorded quantity, shaped by unit_state."""
+def empty_draws(panel: SourcePanel, model: ModelVariant, settings: SamplerSettings) -> dict[str, np.ndarray]:
+    """The one store allocator: an empty (n_chains, n_kept, ...) array per recorded quantity, shaped by unit_state."""
     layout = unit_state(model, panel.n_areas, panel.n_sources)
-    kept = (*lead, settings.n_kept)
+    kept = (settings.n_chains, settings.n_kept)
     return {n: np.empty(kept + np.shape(getattr(layout, n))) for n in _recorded_quantities(model, settings.monitor)}
-
-
-def run_chain(
-    panel: SourcePanel,
-    model: ModelVariant,
-    settings: SamplerSettings,
-    stream_id: int,
-    draws: dict[str, np.ndarray],
-    *,
-    overdispersion: float = 0.0,
-    stop_after: int | None = None,
-    checkpoint_path=None,
-    resume_path=None,
-) -> tuple[int, int]:
-    """Run one chain into ``draws`` (:func:`empty_draws` rows); returns the kept-index range filled.
-
-    Deterministic given (settings.seed, stream_id). ``stop_after`` ends the
-    run early after that many iterations (writing ``checkpoint_path`` if
-    given); ``resume_path`` continues a checkpointed chain, and the two
-    pieces fill exactly the draws of the uninterrupted run. A checkpoint of
-    another variant, seed or stream, or one past ``settings.n_iter``, is
-    refused with ``ValueError``.
-    """
-    if resume_path is not None:
-        saved, state, start_iter, rng = load_checkpoint(resume_path)
-        found, wanted = (saved.tag, rng.seed, rng.stream_id), (model.tag, settings.seed, stream_id)
-        if found != wanted:
-            raise ValueError(f"checkpoint {resume_path} is (variant, seed, stream) {found}, not {wanted}")
-        if start_iter > settings.n_iter:
-            raise ValueError(f"checkpoint {resume_path} is at iteration {start_iter}, past n_iter={settings.n_iter}")
-    else:
-        rng = RngStream(settings.seed, stream_id)
-        state = init_state(panel, model, overdispersion, rng)
-        start_iter = 0
-    stop = settings.n_iter if stop_after is None else min(stop_after, settings.n_iter)
-
-    for it in range(start_iter, stop):
-        sweep(state, panel, model, rng)
-        _check_finite(state, it)
-        offset = it - settings.n_burnin
-        if offset >= 0 and offset % settings.thin == 0:
-            k = offset // settings.thin
-            for n, arr in draws.items():
-                arr[k] = getattr(state, n)
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, model, state, stop, rng)
-    # sweep n_burnin + k * thin is kept as index k; a piece that keeps nothing reports (0, 0)
-    first, end = (-(-max(s - settings.n_burnin, 0) // settings.thin) for s in (start_iter, stop))
-    return (first, end) if first < end else (0, 0)
 
 
 def run_chains(
@@ -444,21 +367,31 @@ def run_chains(
     overdispersion: float | None = None,
     stream_base: int = 0,
 ) -> DrawStore:
-    """Run ``settings.n_chains`` chains on distinct streams and assemble a DrawStore.
+    """Run ``settings.n_chains`` chains, chain c on stream ``stream_base + c``, into one DrawStore.
 
-    ``overdispersion`` defaults to 0.1 for multi-chain runs (dispersed
-    starts) and 0 for single chains. The store comes from
-    :func:`empty_draws` with a chain axis, and each chain writes its draws
-    straight into its own rows; phi is then formed by
+    This is the one chain driver. Each chain starts from
+    :func:`glsae.model.init_state` and is deterministic given
+    (settings.seed, its stream id); ``overdispersion`` defaults to 0.1 for
+    multi-chain runs (dispersed starts) and 0 for single chains. Sweep
+    ``n_burnin + k * thin`` is recorded as kept index k, straight into the
+    chain's rows of the :func:`empty_draws` store. phi is then formed by
     :func:`glsae.summary.phi_draws`, so the peak is the store plus one
     (chain, kept, I, J) work buffer.
     """
     if overdispersion is None:
         overdispersion = 0.1 if settings.n_chains > 1 else 0.0
-    draws = empty_draws(panel, model, settings, lead=(settings.n_chains,))
+    draws = empty_draws(panel, model, settings)
     for c in range(settings.n_chains):
-        run_chain(panel, model, settings, stream_base + c, {n: a[c] for n, a in draws.items()},
-                  overdispersion=overdispersion)
+        rng = RngStream(settings.seed, stream_base + c)
+        state = init_state(panel, model, overdispersion, rng)
+        for it in range(settings.n_iter):
+            sweep(state, panel, model, rng)
+            _check_finite(state, it)
+            offset = it - settings.n_burnin
+            if offset >= 0 and offset % settings.thin == 0:
+                k = offset // settings.thin
+                for n, arr in draws.items():
+                    arr[c, k] = getattr(state, n)
 
     if "phi" in settings.monitor:
         draws["phi"] = _summary.phi_draws(

@@ -157,11 +157,16 @@ def sha256_file(path) -> str:
 
 
 def load_value_csv(path, value_column: str = "value") -> tuple[list[str], np.ndarray]:
-    """Read (area, value) pairs; returns area labels and the value vector."""
+    """Read (area, value) pairs, one per area; returns area labels and the value vector."""
     header, rows = read_table(path)
     if header[:1] != ["area"] or value_column not in header:
         raise PanelFormatError(f"{path}: expected columns 'area' and {value_column!r}")
     vcol = header.index(value_column)
     areas = [r[0] for r in rows]
+    seen = set()
+    for area in areas:
+        if area in seen:
+            raise PanelFormatError(f"{path}: area {area!r} is listed twice")
+        seen.add(area)
     values = np.array([float(r[vcol]) for r in rows])
     return areas, values

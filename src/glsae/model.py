@@ -29,9 +29,8 @@ a ChainState is owned by exactly one chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
 
 import numpy as np
 
@@ -221,22 +220,6 @@ class ChainState:
     xi_i: np.ndarray | None = None
     xi_tau1: float | None = None
     xi_tau2: float = 1.0
-
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-safe dict; floats survive the round trip bit-exactly."""
-        def enc(v):
-            return None if v is None else np.asarray(v, dtype=float).tolist()
-
-        return {f.name: enc(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ChainState":
-        def dec(v):
-            if v is None:
-                return None
-            return np.array(v, dtype=float) if isinstance(v, list) else float(v)
-
-        return cls(**{f.name: dec(payload[f.name]) for f in fields(cls)})
 
 
 def unit_state(model: ModelVariant, n_areas: int, n_sources: int) -> ChainState:

@@ -37,13 +37,6 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(ss))
 
-    def state(self) -> dict:
-        """Snapshot of the underlying bit-generator state (checkpointing)."""
-        return self.generator.bit_generator.state
-
-    def set_state(self, state: dict) -> None:
-        self.generator.bit_generator.state = state
-
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 

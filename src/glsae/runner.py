@@ -204,11 +204,12 @@ def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, 
 def run_fit(config: FitConfig) -> dict:
     """Fit the requested variants on one panel; returns the manifest payload.
 
-    The panel, the sampler settings (with enough kept draws for
-    split-R-hat when several chains run), the interval level and every
-    model (listed once, with its panel columns) are checked before the
-    output directory is created. One model is sampled at a time, and its
-    draws are released before the next one samples.
+    The panel, the sampler settings (at least 2 kept draws per chain for
+    the posterior sd, and enough for split-R-hat when several chains
+    run), the interval level and every model (listed once, with its panel
+    columns) are checked before the output directory is created. One
+    model is sampled at a time, and its draws are released before the
+    next one samples.
     """
     if not 0.0 < config.level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -223,6 +224,8 @@ def run_fit(config: FitConfig) -> dict:
         thin=config.thin,
         monitor=frozenset({"mu", "eta", "variances", "phi"}),
     )
+    if settings.n_kept < 2:
+        raise ValueError(f"a posterior sd needs at least 2 kept draws per chain, got {settings.n_kept}")
     if settings.n_chains > 1 and settings.n_kept < MIN_DRAWS:
         raise ValueError(f"split-R-hat needs at least {MIN_DRAWS} kept draws per chain, got {settings.n_kept}")
     fits = {}

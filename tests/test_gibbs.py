@@ -8,15 +8,11 @@ from glsae.distributions import logpdf, GigParams, InverseGammaParams
 from glsae.gibbs import (
     SamplerDivergence,
     _residuals,
-    empty_draws,
     eta_collapsed_conditional,
     lambda_i_conditional,
     lambda_ij_conditional,
-    load_checkpoint,
     mu_collapsed_conditional,
-    run_chain,
     run_chains,
-    save_checkpoint,
     sweep,
     tau1_conditional,
     tau2_conditional,
@@ -338,25 +334,36 @@ def test_conditionals_match_log_joint(small_panel, tag):
 # chain driver behavior
 
 
-def _run_chain(panel, model, settings, stream_id, **kwargs):
-    """One chain recorded into a store of its own; returns the store and the kept range."""
-    draws = empty_draws(panel, model, settings)
-    return draws, run_chain(panel, model, settings, stream_id, draws, **kwargs)
-
-
 def test_run_chain_bookkeeping(small_panel):
     settings = SamplerSettings(seed=5, n_iter=10, n_burnin=5, n_chains=1, monitor=frozenset({"mu"}))
-    draws, (k0, k1) = _run_chain(small_panel, variant("m11a"), settings, stream_id=0)
-    assert draws["mu"].shape == (5, 3)
-    assert (k0, k1) == (0, 5)
+    store = run_chains(small_panel, variant("m11a"), settings, stream_base=0)
+    assert store.draws.keys() == {"mu"}
+    assert store.draws["mu"].shape == (1, 5, 3)
 
 
 def test_run_chain_deterministic(small_panel):
     settings = SamplerSettings(seed=5, n_iter=50, n_burnin=10, monitor=frozenset({"mu", "variances"}))
-    a, _ = _run_chain(small_panel, variant("m11b"), settings, stream_id=3)
-    b, _ = _run_chain(small_panel, variant("m11b"), settings, stream_id=3)
+    a = run_chains(small_panel, variant("m11b"), settings, stream_base=3).draws
+    b = run_chains(small_panel, variant("m11b"), settings, stream_base=3).draws
+    assert a.keys() == b.keys()
     for key in a:
+        assert a[key].shape[:2] == (1, 40)
         assert np.array_equal(a[key], b[key])
+
+
+def test_thinned_store_is_every_thin_th_sweep(small_panel):
+    """thin = 3 keeps sweeps n_burnin, n_burnin + 3, ...; the last kept sweep is not the last sweep."""
+    model = variant("m11b")
+    thinned = SamplerSettings(seed=9, n_iter=80, n_burnin=20, n_chains=2, thin=3,
+                              monitor=frozenset({"mu", "theta", "eta", "variances"}))
+    full = SamplerSettings(seed=9, n_iter=80, n_burnin=20, n_chains=2, thin=1, monitor=thinned.monitor)
+    assert thinned.n_kept == 20
+    a = run_chains(small_panel, model, thinned, stream_base=1).draws
+    b = run_chains(small_panel, model, full, stream_base=1).draws
+    assert a.keys() == b.keys() == {"mu", "theta", "eta", "lambda_ij", "lambda_i", "tau1_sq", "tau2_sq"}
+    for key in a:
+        assert a[key].shape[:2] == (2, 20)
+        assert np.array_equal(a[key], b[key][:, ::3]), key
 
 
 def test_run_chains_rejects_zero_chains(small_panel):
@@ -379,7 +386,7 @@ def test_m12_equals_pinned_m11a(small_panel):
     m11a = variant("m11a")
     settings = SamplerSettings(seed=7, n_iter=40, n_burnin=0, monitor=frozenset({"mu"}))
 
-    draws_m12, _ = _run_chain(small_panel, m12, settings, stream_id=2)
+    draws_m12 = run_chains(small_panel, m12, settings, stream_base=2).draws
 
     rng = RngStream(settings.seed, 2)
     state = init_state(small_panel, m12, 0.0, rng)  # same init draw pattern
@@ -390,7 +397,7 @@ def test_m12_equals_pinned_m11a(small_panel):
         r, d = _residuals(state, m11a)
         update_global_variances(state, m11a, r, d, rng.generator)
         mus.append(state.mu.copy())
-    assert np.array_equal(draws_m12["mu"], np.array(mus))
+    assert np.array_equal(draws_m12["mu"][0], np.array(mus))
 
 
 @pytest.mark.parametrize("tag", ["m11a", "m11b", "m1a", "m1b", "m12", "one_source"])
@@ -465,69 +472,6 @@ def test_divergence_abort_reports_location(small_panel, tag, spoil, message):
     spoil(state)
     with pytest.raises(SamplerDivergence, match=message):
         _check_finite(state, 3)
-
-
-@pytest.mark.parametrize("thin, stop_after, first, second", [
-    (1, 50, (0, 30), (30, 60)),
-    (3, 15, (0, 0), (0, 20)),  # the checkpoint falls inside burn-in, so the first piece keeps nothing
-], ids=["thin1", "thin3-in-burnin"])
-def test_checkpoint_restart_is_bit_identical(small_panel, tmp_path, thin, stop_after, first, second):
-    settings = SamplerSettings(seed=9, n_iter=80, n_burnin=20, thin=thin, monitor=frozenset({"mu", "variances"}))
-    model = variant("m11b")
-    full, _ = _run_chain(small_panel, model, settings, stream_id=1)
-
-    ck = tmp_path / "chain.ckpt.json"
-    pieces = empty_draws(small_panel, model, settings)
-    assert run_chain(small_panel, model, settings, 1, pieces, stop_after=stop_after, checkpoint_path=ck) == first
-    assert run_chain(small_panel, model, settings, 1, pieces, resume_path=ck) == second
-    assert pieces.keys() == full.keys()
-    for key in full:
-        assert np.array_equal(full[key], pieces[key])
-
-
-def test_checkpoint_roundtrip_state(small_panel, tmp_path):
-    model = variant("m1a")
-    rng = RngStream(10, 4)
-    state = init_state(small_panel, model, 0.0, rng)
-    sweep(state, small_panel, model, rng)
-    path = tmp_path / "state.json"
-    save_checkpoint(path, model, state, 17, rng)
-    back_model, back_state, back_iter, back_rng = load_checkpoint(path)
-    assert back_model == model and back_iter == 17
-    assert np.array_equal(back_state.mu, state.mu)
-    assert back_state.tau1_sq == state.tau1_sq
-    assert back_rng.state() == rng.state()
-
-
-def _resume_settings(seed=9, n_iter=40):
-    return SamplerSettings(seed=seed, n_iter=n_iter, n_burnin=10, monitor=frozenset({"mu"}))
-
-
-def _checkpoint(panel, model, stop_after, path):
-    """Checkpoint of a seed-9, stream-1 chain of 40 sweeps, taken after ``stop_after`` of them."""
-    _run_chain(panel, model, _resume_settings(), stream_id=1, stop_after=stop_after, checkpoint_path=path)
-    return path
-
-
-@pytest.mark.parametrize("seed, stream_id", [(1234, 1), (9, 7)])
-def test_resume_rejects_checkpoint_of_another_stream(small_panel, tmp_path, seed, stream_id):
-    model = variant("m11a")
-    ck = _checkpoint(small_panel, model, 20, tmp_path / "chain.json")
-    with pytest.raises(ValueError, match="variant, seed, stream"):
-        _run_chain(small_panel, model, _resume_settings(seed), stream_id=stream_id, resume_path=ck)
-
-
-def test_resume_rejects_checkpoint_of_another_variant(small_panel, tmp_path):
-    ck = _checkpoint(small_panel, variant("m11b"), 20, tmp_path / "chain.json")
-    with pytest.raises(ValueError, match="m11b"):
-        _run_chain(small_panel, variant("m11a"), _resume_settings(), stream_id=1, resume_path=ck)
-
-
-def test_resume_rejects_checkpoint_past_n_iter(small_panel, tmp_path):
-    model = variant("m1b")
-    ck = _checkpoint(small_panel, model, 30, tmp_path / "chain.json")
-    with pytest.raises(ValueError, match="iteration 30"):
-        _run_chain(small_panel, model, _resume_settings(n_iter=25), stream_id=1, resume_path=ck)
 
 
 @pytest.mark.parametrize("tag", ["m11a", "m11b", "m1a", "m1b", "m12", "one_source"])

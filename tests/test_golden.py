@@ -7,6 +7,7 @@ relative paths, because the fit manifest records the panel path.
 Digests were recorded with numpy 2.4.6.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -134,21 +135,23 @@ def test_outputs_match_recorded_digests(tmp_path, monkeypatch):
     assert _run_golden(tmp_path, monkeypatch) == GOLDEN
 
 
-# One chain checkpoint per variant, taken after three sweeps from a
-# dispersed start, so the digests pin the initial state, the jitter order
-# and the checkpoint encoding.
-CHECKPOINT_GOLDEN = {
-    "m11a": "80d922f52041bd22dff7ec86ce34af64ff65c7608bb193a15d6d2ef1574566a1",
-    "m11b": "6a806da64e0888d01ffdfb46a9bb2ce51e0a308998c77d7256c6f2d3af66713c",
-    "m1a": "eb04e81cae6289a27a5573df11c7d824a11df0b697e731c2a9c336e34c0cd3c0",
-    "m1b": "44b4ee4c5f147dabda802ff19cc2d50cdd7c01a6d74e9076e9e333a04d8c700b",
-    "m12": "8eb171d606d950fcd9c779d659924a290d945a79a425dec6b58029f67cd54e50",
-    "one_source": "e357eba3c122a596f31f6cc8a7701478e1727ea73b2ad5e8e083282752bdefaa",
+# One chain state per variant, taken after three sweeps from a dispersed
+# start: the digest covers every ChainState field and the stream's
+# bit-generator state, so it pins the initial state, the jitter order and
+# each variant's draw order.
+STATE_GOLDEN = {
+    "m11a": "b2c2feab368a5ab2865dcf79a2b928b6038d0df260820481325282d255a304d2",
+    "m11b": "0a1e632ef20867530374a2c2c101aa7075015be83e6297dc84b8fc7b5e227f5f",
+    "m1a": "f668ac745f5e4b8eb339a868c5fd9b58e4493b02932288205418e14a0eeb26e4",
+    "m1b": "7133f9e545b26644d3579550cf82ead6034fed70b62c01039def18b5554c2f04",
+    "m12": "1595192d808da572b7ea77f4e30c352ec6024479dfa5a059560cd0c50c2eb33c",
+    "one_source": "c8278688958649c4fabfd7ceea2ebc7218c346309b12a8f2225687376013301f",
 }
 
 
-def _checkpoint_bytes(tag: str, panel, path: Path, n_sweeps: int = 3) -> bytes:
-    from glsae.gibbs import save_checkpoint, sweep
+def _state_digest(tag: str, panel, n_sweeps: int = 3) -> str:
+    """SHA-256 over each ChainState field (name, then float64 bytes or a None marker) and the RNG state."""
+    from glsae.gibbs import sweep
     from glsae.model import init_state, variant
     from glsae.rng import RngStream
 
@@ -159,35 +162,29 @@ def _checkpoint_bytes(tag: str, panel, path: Path, n_sweeps: int = 3) -> bytes:
     state = init_state(panel, model, 0.1, rng)
     for _ in range(n_sweeps):
         sweep(state, panel, model, rng)
-    save_checkpoint(path, model, state, n_sweeps, rng)
-    return path.read_bytes()
+    h = hashlib.sha256()
+    for f in dataclasses.fields(state):
+        value = getattr(state, f.name)
+        h.update(f.name.encode("ascii"))
+        h.update(b"<None>" if value is None else np.asarray(value, dtype=float).tobytes())
+    h.update(json.dumps(rng.generator.bit_generator.state, sort_keys=True).encode("ascii"))
+    return h.hexdigest()
 
 
-def test_checkpoints_match_recorded_digests(tmp_path, small_panel):
-    from glsae.gibbs import load_checkpoint, save_checkpoint
-
-    digests = {}
-    for tag in ("m11a", "m11b", "m1a", "m1b", "m12", "one_source"):
-        path = tmp_path / f"{tag}.json"
-        first = _checkpoint_bytes(tag, small_panel, path)
-        digests[tag] = hashlib.sha256(first).hexdigest()
-        # loading and saving again reproduces the file
-        model, state, iteration, rng = load_checkpoint(path)
-        save_checkpoint(path, model, state, iteration, rng)
-        assert path.read_bytes() == first, tag
-    assert digests == CHECKPOINT_GOLDEN
+def test_states_match_recorded_digests(small_panel):
+    assert {tag: _state_digest(tag, small_panel) for tag in STATE_GOLDEN} == STATE_GOLDEN
 
 
-# The same checkpoint after 20 sweeps on a J = 4 panel, where m11b's lam_i
+# The same state after 20 sweeps on a J = 4 panel, where m11b's lam_i
 # draw takes the order -1.5 (Devroye) GIG path and m1b's draws the +1/2 path;
 # GOLDEN covers only J = 2.
-WIDE_CHECKPOINT_GOLDEN = {
-    "m11a": "38cb10132c87f711d71d074a282120fde22447eda12912b591cf16b70ba3975e",
-    "m11b": "7a6beb4ed06b593fb53401db519d3d99a9ebcb23480bff46d06b19afa8aa2442",
-    "m1a": "b0d56ff2b4a5b4d89ae944d117749741069509ccb9947c3f3a07419460002e7c",
-    "m1b": "fe76fe18254014c8c94c770e39ee26d7e3e70770035c540d734c62017302a2d2",
-    "m12": "816f5cc0f1126306c3a1c140e7d5a1c92dc4ccb9d86c6a30e1f84c2aa4cdb488",
-    "one_source": "ddeb7d73ab01f9667ba91efcb8f0b33bb1e546370d089e89ea6470f6a54f6d3b",
+WIDE_STATE_GOLDEN = {
+    "m11a": "cdc9153e13cc24f6c8d3c234f0f3fa27b845e7f67db185c508ccd0e574416c9c",
+    "m11b": "e2413ddd659dee2bff6068f78a66abc6557a088fa285e97cf242da104bea922a",
+    "m1a": "fb7d82b58a8a4cd967df10316679c2c8f1dd70e721b9a9ce4755f3f5180af014",
+    "m1b": "667418c4628c85cac3eaabdb5aee34139bd69389d7b5d3926eb6283173caac26",
+    "m12": "0c840e8de002603fd50aef646da11ab16c27a796c4bcc2da8770d35e9dc6b936",
+    "one_source": "c58557e16013fb7351b241848ec1fe91d7de8a18a2fe996993af2917510ba8ce",
 }
 
 
@@ -204,10 +201,6 @@ def _wide_panel():
     )
 
 
-def test_wide_checkpoints_match_recorded_digests(tmp_path):
+def test_wide_states_match_recorded_digests():
     panel = _wide_panel()
-    digests = {
-        tag: hashlib.sha256(_checkpoint_bytes(tag, panel, tmp_path / f"{tag}.json", n_sweeps=20)).hexdigest()
-        for tag in ("m11a", "m11b", "m1a", "m1b", "m12", "one_source")
-    }
-    assert digests == WIDE_CHECKPOINT_GOLDEN
+    assert {tag: _state_digest(tag, panel, n_sweeps=20) for tag in WIDE_STATE_GOLDEN} == WIDE_STATE_GOLDEN

@@ -152,6 +152,8 @@ _FIT_REFUSALS = [
     (None, "one-source,one_source", ["--source", "brfss"], "model 'one_source' is listed twice"),
     (None, "m12", ["--chains", "2", "--iters", "5", "--burnin", "2"],
      "split-R-hat needs at least 4 kept draws per chain, got 3"),
+    (None, "m12", ["--iters", "30", "--burnin", "10", "--thin", "50"],
+     "a posterior sd needs at least 2 kept draws per chain, got 1"),
 ]
 
 
@@ -226,6 +228,17 @@ def test_evaluate_refuses_different_areas_in_one_line(tmp_path, capsys):
     tru.write_text("area,value\nc1,0.25\nc3,0.20\n", encoding="utf-8")
     assert main(["evaluate", "--estimates", str(est), "--truths", str(tru)]) == 2
     assert "estimate and truth files cover different areas" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("repeated", ["est.csv", "tru.csv"])
+def test_evaluate_refuses_a_repeated_area_in_one_line(tmp_path, capsys, repeated):
+    est = tmp_path / "est.csv"
+    tru = tmp_path / "tru.csv"
+    est.write_text("area,value\nc1,0.30\nc2,0.20\n", encoding="utf-8")
+    tru.write_text("area,value\nc1,0.25\nc2,0.20\n", encoding="utf-8")
+    (tmp_path / repeated).write_text("area,value\nc1,0.30\nc2,0.20\nc2,0.40\n", encoding="utf-8")
+    assert main(["evaluate", "--estimates", str(est), "--truths", str(tru)]) == 2
+    assert f"{tmp_path / repeated}: area 'c2' is listed twice" in _one_error_line(capsys)
 
 
 def test_simulate_command_deterministic_across_workers(tmp_path, monkeypatch):

@@ -1,11 +1,9 @@
-import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from glsae.model import (
-    ChainState,
     SamplerSettings,
     SourcePanel,
     VARIANT_TAGS,
@@ -124,19 +122,6 @@ def test_unit_state_layout(tag, extra):
         assert np.all(val == (0.0 if name in ("mu", "eta", "theta") else 1.0)), name
     with pytest.raises(ValueError, match="single-source"):
         unit_state(variant("one_source"), 3, 2)
-
-
-def test_chain_state_roundtrips_bit_exactly(small_panel):
-    gen = np.random.default_rng(42)
-    state = init_state(small_panel, variant("m11a"), 0.0, RngStream(4))
-    state.mu = gen.standard_normal(3) * 0.1 + 0.25
-    state.tau1_sq = float(np.exp(gen.standard_normal()))
-    blob = json.dumps(state.to_payload())
-    back = ChainState.from_payload(json.loads(blob))
-    assert np.array_equal(back.mu, state.mu)
-    assert back.tau1_sq == state.tau1_sq
-    assert np.array_equal(back.theta, state.theta)
-    assert back.xi_tau1 == state.xi_tau1
 
 
 def test_settings_validation():
