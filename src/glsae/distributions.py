@@ -278,7 +278,7 @@ def sample_gig(p: GigParams, rng: RngStream):
     if np.any(m_gamma):
         out[m_gamma] = gen.gamma(order[m_gamma], 2.0 / psi[m_gamma])
     if np.any(m_invg):
-        out[m_invg] = 0.5 * chi[m_invg] / gen.gamma(-order[m_invg], 1.0)
+        out[m_invg] = _invgamma_raw(-order[m_invg], 0.5 * chi[m_invg], gen)
     for o in np.unique(order[m_both]):
         m = m_both & (order == o)
         out[m] = _gig_raw(o, chi[m], psi[m], gen)
@@ -294,11 +294,8 @@ def sample_halfcauchy_sq(rng: RngStream, size=None):
     so that sqrt(v) is marginally standard half-Cauchy.
     """
     gen = rng.generator
-    x = np.maximum(1.0 / gen.gamma(0.5, 1.0, size=size), _FLOOR)
-    v = np.maximum((1.0 / x) / gen.gamma(0.5, 1.0, size=size), _FLOOR)
-    if size is None:
-        return float(v), float(x)
-    return v, x
+    x = _invgamma_raw(0.5, 1.0 if size is None else np.ones(size), gen)
+    return _invgamma_raw(0.5, 1.0 / x, gen), x
 
 
 def logpdf(dist: str, params, x) -> float | np.ndarray:

@@ -62,7 +62,6 @@ file is pinned to it (``tests/test_golden.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,25 +291,6 @@ def sweep(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngSt
 # chain driver
 
 
-@dataclass
-class DrawStore:
-    """Post-burn-in draws of the monitored quantities across chains.
-
-    Arrays are indexed (chain, kept-iteration, ...); ``pooled`` flattens
-    the chain axis.
-    """
-
-    variant: ModelVariant
-    settings: SamplerSettings
-    n_areas: int
-    n_sources: int
-    draws: dict[str, np.ndarray]
-
-    def pooled(self, name: str) -> np.ndarray:
-        arr = self.draws[name]
-        return arr.reshape((-1,) + arr.shape[2:])
-
-
 # The sampled quantities of a chain, in recording order; a variant's
 # absent fields are None in its state.
 _QUANTITIES = ("mu", "theta", "eta", "lambda_ij", "lambda_i", "tau1_sq", "tau2_sq")
@@ -343,20 +323,13 @@ def _check_finite(state: ChainState, iteration: int) -> None:
 
 def _recorded_quantities(model: ModelVariant, monitor: frozenset[str]) -> list[str]:
     wanted = set(monitor)
-    if monitor & {"variances", "phi"}:
+    if "variances" in monitor:
         wanted.update(_VARIANCES)
     if not model.has_theta_level:
         wanted -= {"theta", "tau1_sq"}
     if not model.has_local_ij:
         wanted.discard("lambda_ij")  # m12 keeps lam_ij at 1
     return [n for n in _QUANTITIES if n in wanted]
-
-
-def empty_draws(panel: SourcePanel, model: ModelVariant, settings: SamplerSettings) -> dict[str, np.ndarray]:
-    """The one store allocator: an empty (n_chains, n_kept, ...) array per recorded quantity, shaped by unit_state."""
-    layout = unit_state(model, panel.n_areas, panel.n_sources)
-    kept = (settings.n_chains, settings.n_kept)
-    return {n: np.empty(kept + np.shape(getattr(layout, n))) for n in _recorded_quantities(model, settings.monitor)}
 
 
 def run_chains(
@@ -366,21 +339,24 @@ def run_chains(
     *,
     overdispersion: float | None = None,
     stream_base: int = 0,
-) -> DrawStore:
-    """Run ``settings.n_chains`` chains, chain c on stream ``stream_base + c``, into one DrawStore.
+) -> dict[str, np.ndarray]:
+    """Run ``settings.n_chains`` chains, chain c on stream ``stream_base + c``; returns their draws.
 
-    This is the one chain driver. Each chain starts from
-    :func:`glsae.model.init_state` and is deterministic given
+    This is the one chain driver, and it only samples. Each chain starts
+    from :func:`glsae.model.init_state` and is deterministic given
     (settings.seed, its stream id); ``overdispersion`` defaults to 0.1 for
-    multi-chain runs (dispersed starts) and 0 for single chains. Sweep
-    ``n_burnin + k * thin`` is recorded as kept index k, straight into the
-    chain's rows of the :func:`empty_draws` store. phi is then formed by
-    :func:`glsae.summary.phi_draws`, so the peak is the store plus one
-    (chain, kept, I, J) work buffer.
+    multi-chain runs (dispersed starts) and 0 for single chains. The result
+    holds one (n_chains, n_kept, ...) array per sampled quantity in
+    ``settings.monitor`` ("variances" is every variance the variant
+    samples), shaped by :func:`glsae.model.unit_state`, and nothing else.
+    Sweep ``n_burnin + k * thin`` is recorded as kept index k, straight
+    into the chain's rows.
     """
     if overdispersion is None:
         overdispersion = 0.1 if settings.n_chains > 1 else 0.0
-    draws = empty_draws(panel, model, settings)
+    layout = unit_state(model, panel.n_areas, panel.n_sources)
+    kept = (settings.n_chains, settings.n_kept)
+    draws = {n: np.empty(kept + np.shape(getattr(layout, n))) for n in _recorded_quantities(model, settings.monitor)}
     for c in range(settings.n_chains):
         rng = RngStream(settings.seed, stream_base + c)
         state = init_state(panel, model, overdispersion, rng)
@@ -392,19 +368,4 @@ def run_chains(
                 k = offset // settings.thin
                 for n, arr in draws.items():
                     arr[c, k] = getattr(state, n)
-
-    if "phi" in settings.monitor:
-        draws["phi"] = _summary.phi_draws(
-            panel, model, draws.get("lambda_ij"), draws["lambda_i"], draws.get("tau1_sq"), draws["tau2_sq"]
-        )
-    if "variances" not in settings.monitor:
-        for n in _VARIANCES:
-            draws.pop(n, None)
-
-    return DrawStore(
-        variant=model,
-        settings=settings,
-        n_areas=panel.n_areas,
-        n_sources=panel.n_sources,
-        draws=draws,
-    )
+    return draws

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -115,21 +116,20 @@ def write_table(path, header, rows, manifest_hash: str | None) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _numbered_records(path) -> list[tuple[int, list[str]]]:
+    """(1-based line, fields) of each CSV record that is neither blank nor a ``#`` comment."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        records = [(reader.line_num, r) for r in reader if r and not r[0].lstrip().startswith("#")]
+    if not records:
+        raise PanelFormatError(f"{path}: no header row")
+    return records
+
+
 def read_table(path) -> tuple[list[str], list[list[str]]]:
     """Read a CSV written by :func:`write_table`, skipping comment lines."""
-    header = None
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for record in csv.reader(fh):
-            if not record or record[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = record
-            else:
-                rows.append(record)
-    if header is None:
-        raise PanelFormatError(f"{path}: no header row")
-    return header, rows
+    records = [r for _, r in _numbered_records(path)]
+    return records[0], records[1:]
 
 
 def canonical_json(payload) -> str:
@@ -157,16 +157,29 @@ def sha256_file(path) -> str:
 
 
 def load_value_csv(path, value_column: str = "value") -> tuple[list[str], np.ndarray]:
-    """Read (area, value) pairs, one per area; returns area labels and the value vector."""
-    header, rows = read_table(path)
+    """Read (area, value) pairs, one per area; returns area labels and the value vector.
+
+    A missing, non-numeric or non-finite value is refused with its 1-based line.
+    """
+    (_, header), *rows = _numbered_records(path)
     if header[:1] != ["area"] or value_column not in header:
         raise PanelFormatError(f"{path}: expected columns 'area' and {value_column!r}")
     vcol = header.index(value_column)
-    areas = [r[0] for r in rows]
+    areas = [r[0] for _, r in rows]
     seen = set()
     for area in areas:
         if area in seen:
             raise PanelFormatError(f"{path}: area {area!r} is listed twice")
         seen.add(area)
-    values = np.array([float(r[vcol]) for r in rows])
-    return areas, values
+    values = []
+    for lineno, r in rows:
+        if len(r) <= vcol:
+            raise PanelFormatError(f"{path}:{lineno}: no {value_column!r} field")
+        try:
+            value = float(r[vcol])
+        except ValueError:
+            raise PanelFormatError(f"{path}:{lineno}: non-numeric {value_column} {r[vcol]!r}") from None
+        if not math.isfinite(value):
+            raise PanelFormatError(f"{path}:{lineno}: {value_column} must be finite, got {r[vcol]!r}")
+        values.append(value)
+    return areas, np.array(values)

@@ -249,7 +249,9 @@ def unit_state(model: ModelVariant, n_areas: int, n_sources: int) -> ChainState:
     )
 
 
-MONITORABLE = frozenset({"mu", "theta", "phi", "variances", "eta"})
+# The sampled quantities a chain can record; "variances" is every variance
+# the variant samples. Derived quantities such as phi are formed from these.
+MONITORABLE = frozenset({"mu", "theta", "variances", "eta"})
 
 
 @dataclass(frozen=True)
@@ -257,8 +259,8 @@ class SamplerSettings:
     """Gibbs run configuration.
 
     Defaults follow the point-estimation protocol (one chain of 18000
-    sweeps, 3000 burn-in); :meth:`diagnostics_protocol` gives the
-    convergence-check protocol (five chains of 7000 with 2000 burn-in).
+    sweeps, 3000 burn-in). ``monitor`` names the sampled quantities to
+    record, a subset of ``MONITORABLE``.
     """
 
     seed: int
@@ -266,7 +268,7 @@ class SamplerSettings:
     n_burnin: int = 3000
     n_chains: int = 1
     thin: int = 1
-    monitor: frozenset[str] = frozenset({"mu", "eta", "variances", "phi"})
+    monitor: frozenset[str] = frozenset({"mu", "eta", "variances"})
 
     def __post_init__(self):
         if self.n_iter <= 0 or self.n_chains <= 0 or self.thin <= 0:
@@ -281,10 +283,6 @@ class SamplerSettings:
     @property
     def n_kept(self) -> int:
         return (self.n_iter - self.n_burnin + self.thin - 1) // self.thin
-
-    @classmethod
-    def diagnostics_protocol(cls, seed: int, monitor=frozenset({"mu"})) -> "SamplerSettings":
-        return cls(seed=seed, n_iter=7000, n_burnin=2000, n_chains=5, thin=1, monitor=monitor)
 
 
 def init_state(

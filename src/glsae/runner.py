@@ -40,13 +40,13 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import DEFAULT_THRESHOLD, MIN_DRAWS, rhat_report
-from .gibbs import DrawStore, run_chains
+from .gibbs import run_chains
 from .io import load_panel, manifest_hash, sha256_file, write_manifest, write_table
 from .metrics import FitScore, MEASURES, aggregate, best_model_counts, discrepancy_ratio, score
-from .model import SamplerSettings, SourcePanel, variant
+from .model import ModelVariant, SamplerSettings, SourcePanel, variant
 from .rng import RngStream, derive_stream_id
 from .simgen import generate, load_spec_table, spec_table, synthetic_v_pool
-from .summary import kappa_weights, phi_distribution, summarize
+from .summary import kappa_weights, phi_distribution, phi_draws, summarize
 
 _STREAM_FIT = 0
 _STREAM_GEN = 1
@@ -115,24 +115,26 @@ def _fit_panel_for(model, panel: SourcePanel, source: str | None) -> SourcePanel
         raise ValueError(f"unknown source {source!r}; panel has {panel.sources}") from None
 
 
-def _save_draws(store: DrawStore, out: Path, tag: str) -> list[Path]:
-    droot = out / "draws" / tag
+def _save_draws(draws: dict[str, np.ndarray], settings: SamplerSettings, model: ModelVariant,
+                panel: SourcePanel, out: Path) -> list[Path]:
+    """Write each array of ``draws`` and a ``meta.json`` describing the run under ``draws/<tag>/``."""
+    droot = out / "draws" / model.tag
     droot.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, arr in sorted(store.draws.items()):
+    for name, arr in sorted(draws.items()):
         p = droot / f"{name}.npy"
         np.save(p, arr)
         written.append(p)
     meta = {
-        "variant": store.variant.tag,
-        "n_chains": store.settings.n_chains,
-        "n_iter": store.settings.n_iter,
-        "n_burnin": store.settings.n_burnin,
-        "thin": store.settings.thin,
-        "seed": store.settings.seed,
-        "quantities": sorted(store.draws),
-        "n_areas": store.n_areas,
-        "n_sources": store.n_sources,
+        "variant": model.tag,
+        "n_chains": settings.n_chains,
+        "n_iter": settings.n_iter,
+        "n_burnin": settings.n_burnin,
+        "thin": settings.thin,
+        "seed": settings.seed,
+        "quantities": sorted(draws),
+        "n_areas": panel.n_areas,
+        "n_sources": panel.n_sources,
     }
     mp = droot / "meta.json"
     mp.write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
@@ -142,15 +144,18 @@ def _save_draws(store: DrawStore, out: Path, tag: str) -> list[Path]:
 
 def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, fit_panel: SourcePanel,
                out: Path, stamp: str, long_rows: list) -> list[Path]:
-    """Sample one variant, write its tables (and draws), append its plot rows.
+    """Sample one variant, form its phi draws, write its tables (and draws), append its plot rows.
 
-    The model's store and every array derived from it are local here, so
+    The model's draws and every array derived from them are local here, so
     they are released before the next model samples.
     """
-    store = run_chains(fit_panel, model, settings, stream_base=derive_stream_id(_STREAM_FIT, m_idx))
+    draws = run_chains(fit_panel, model, settings, stream_base=derive_stream_id(_STREAM_FIT, m_idx))
+    draws["phi"] = phi_draws(
+        fit_panel, model, draws.get("lambda_ij"), draws["lambda_i"], draws.get("tau1_sq"), draws["tau2_sq"]
+    )
     written: list[Path] = []
 
-    summ = summarize(store, level=config.level, quantity="mu")
+    summ = summarize(draws["mu"], level=config.level)
     rows = [
         (area, summ.mean[i], summ.sd[i], summ.lower[i], summ.upper[i])
         for i, area in enumerate(fit_panel.areas)
@@ -164,7 +169,7 @@ def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, 
         long_rows.append((area, model.tag, "lower", summ.lower[i]))
         long_rows.append((area, model.tag, "upper", summ.upper[i]))
 
-    fives = phi_distribution(store)
+    fives = phi_distribution(draws["phi"])
     p = out / f"phi_{model.tag}.csv"
     write_table(
         p,
@@ -175,7 +180,7 @@ def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, 
     written.append(p)
 
     if model.theta_variance_form == "source":
-        kap = kappa_weights(fit_panel, store.draws["lambda_ij"], store.draws["tau1_sq"])
+        kap = kappa_weights(fit_panel, draws["lambda_ij"], draws["tau1_sq"])
         kap_mean = kap.reshape((-1,) + fit_panel.v.shape).mean(axis=0)
         rows = [
             (area, src, kap_mean[i, j])
@@ -187,7 +192,7 @@ def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, 
         written.append(p)
 
     if config.n_chains > 1:
-        report = rhat_report(store.draws["mu"], "mu", DEFAULT_THRESHOLD)
+        report = rhat_report(draws["mu"], "mu", DEFAULT_THRESHOLD)
         rows = [
             (fit_panel.areas[k], value, "pass" if ok else "fail")
             for k, (name, value, ok) in enumerate(report.rows())
@@ -197,7 +202,7 @@ def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, 
         written.append(p)
 
     if config.save_draws:
-        written.extend(_save_draws(store, out, model.tag))
+        written.extend(_save_draws(draws, settings, model, fit_panel, out))
     return written
 
 
@@ -222,7 +227,7 @@ def run_fit(config: FitConfig) -> dict:
         n_burnin=config.n_burnin,
         n_chains=config.n_chains,
         thin=config.thin,
-        monitor=frozenset({"mu", "eta", "variances", "phi"}),
+        monitor=frozenset({"mu", "eta", "variances"}),
     )
     if settings.n_kept < 2:
         raise ValueError(f"a posterior sd needs at least 2 kept draws per chain, got {settings.n_kept}")
@@ -337,11 +342,11 @@ def _sim_item(args) -> tuple[int, int, dict[str, dict]]:
         fit_panel = data.panel
         if target.source_index is not None:
             fit_panel = fit_panel.select_source(target.source_index)
-        store = run_chains(
+        mu = run_chains(
             fit_panel, model, settings,
             stream_base=derive_stream_id(spec.case_id, spec.row, rep, _STREAM_MODEL0 + t_idx),
-        )
-        estimate = store.pooled("mu").mean(axis=0)
+        )["mu"]
+        estimate = mu.reshape(-1, mu.shape[-1]).mean(axis=0)
         sc = score(estimate, data.truth_mu)
         out[target.name] = {
             "arb": sc.arb, "asrb": sc.asrb, "aad": sc.aad, "asd": sc.asd,
@@ -420,7 +425,6 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
             raise ValueError("fixed-variance mode needs a pool matching --sources; use bootstrap for other J")
         v_kw = {"v": observed, "v_pool": None}
     common = {
-        "n_replicates": config.n_replicates,
         "n_sources": config.n_sources,
         "delta_scope": config.delta_scope,
         **v_kw,

@@ -89,7 +89,6 @@ class SimSpec:
     eta: float = 0.25
     n_areas: int = 62
     n_sources: int = 2
-    n_replicates: int = 100
     case5: Case5Params | None = None
     delta_scope: str = "unit"
     v: np.ndarray | None = None
@@ -264,7 +263,6 @@ def spec_table(
     *,
     n_areas: int = 62,
     n_sources: int = 2,
-    n_replicates: int = 100,
     v: np.ndarray | None = None,
     v_pool: np.ndarray | None = None,
     delta_scope: str = "unit",
@@ -277,7 +275,7 @@ def spec_table(
     return [
         _spec_from_params(
             case_id, row, params,
-            n_areas=n_areas, n_sources=n_sources, n_replicates=n_replicates,
+            n_areas=n_areas, n_sources=n_sources,
             v=v, v_pool=v_pool, delta_scope=delta_scope,
         )
         for row, params in enumerate(_GRIDS[case_id](), start=1)

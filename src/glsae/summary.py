@@ -294,13 +294,18 @@ class QuantitySummary:
     level: float
 
 
-def summarize(store, level: float = 0.95, quantity: str = "mu") -> QuantitySummary:
-    """Pooled posterior mean, sd and equal-tailed interval for a monitored quantity."""
+def _pooled(draws: np.ndarray) -> np.ndarray:
+    """(chain, kept, ...) draws with the chain axis flattened into the kept axis."""
+    return draws.reshape((-1,) + draws.shape[2:])
+
+
+def summarize(draws: np.ndarray, level: float = 0.95) -> QuantitySummary:
+    """Pooled posterior mean, sd and equal-tailed interval of one quantity's (chain, kept, ...) draws."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    draws = store.pooled(quantity)
+    draws = _pooled(draws)
     if draws.size == 0:
-        raise ValueError("empty draw store")
+        raise ValueError("no draws to summarize")
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(draws, [alpha, 1.0 - alpha], axis=0, method="linear")
     return QuantitySummary(
@@ -312,10 +317,7 @@ def summarize(store, level: float = 0.95, quantity: str = "mu") -> QuantitySumma
     )
 
 
-def phi_distribution(store) -> np.ndarray:
-    """Five-number summary (min, q1, median, q3, max) of phi per area, (I, 5)."""
-    if "phi" not in store.draws:
-        raise KeyError("phi was not monitored during sampling")
-    phi = store.pooled("phi")
-    qs = np.quantile(phi, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0, method="linear")
+def phi_distribution(phi: np.ndarray) -> np.ndarray:
+    """Five-number summary (min, q1, median, q3, max) per area of (chain, kept, I) phi draws, (I, 5)."""
+    qs = np.quantile(_pooled(phi), [0.0, 0.25, 0.5, 0.75, 1.0], axis=0, method="linear")
     return qs.T

@@ -53,12 +53,12 @@ def _oracle_job(args):
         seed=1000 + idx, n_iter=20000, n_burnin=2000, n_chains=4,
         monitor=frozenset({"mu"}),
     )
-    store = run_chains(
+    mu = run_chains(
         inst.panel, inst.variant, settings,
         stream_base=derive_stream_id(90, VARIANTS.index(tag), idx),
         overdispersion=0.05,
-    )
-    chain_means = store.draws["mu"].mean(axis=1)
+    )["mu"]
+    chain_means = mu.mean(axis=1)
     g_mean = chain_means.mean(axis=0)
     g_mcse = chain_means.std(axis=0, ddof=1) / math.sqrt(settings.n_chains)
     res = metropolis_posterior(
@@ -94,18 +94,18 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_decomposition_identity():
-    spec = spec_table(1, n_replicates=1)[0]
+    spec = spec_table(1)[0]
     data = generate(spec, 0, RngStream(31, 0))
     model = variant("m11a")
     settings = SamplerSettings(
         seed=32, n_iter=3000, n_burnin=1000, n_chains=1,
         monitor=frozenset({"variances"}),
     )
-    store = run_chains(data.panel, model, settings)
-    lam_ij = store.draws["lambda_ij"][0]
-    lam_i = store.draws["lambda_i"][0]
-    t1 = store.draws["tau1_sq"][0]
-    t2 = store.draws["tau2_sq"][0]
+    draws = run_chains(data.panel, model, settings)
+    lam_ij = draws["lambda_ij"][0]
+    lam_i = draws["lambda_i"][0]
+    t1 = draws["tau1_sq"][0]
+    t2 = draws["tau2_sq"][0]
     dec = decompose(data.panel, model, lam_ij, lam_i, t1, t2)
     worst = 0.0
     for k in range(lam_ij.shape[0]):
@@ -123,13 +123,13 @@ def test_criterion_2_decomposition_identity():
 
 def test_criterion_3_convergence_protocol():
     t0 = time.time()
-    spec = spec_table(1, n_replicates=1)[0]
+    spec = spec_table(1)[0]
     data = generate(spec, 0, RngStream(41, 0))
     settings = SamplerSettings(
         seed=42, n_iter=7000, n_burnin=2000, n_chains=5, monitor=frozenset({"mu"}),
     )
-    store = run_chains(data.panel, variant("m11a"), settings, overdispersion=0.1)
-    report = rhat_report(store.draws["mu"], "mu", threshold=1.05)
+    mu = run_chains(data.panel, variant("m11a"), settings, overdispersion=0.1)["mu"]
+    report = rhat_report(mu, "mu", threshold=1.05)
     elapsed = time.time() - t0
     _report(
         "3 split-rhat-protocol",

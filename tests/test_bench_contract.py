@@ -45,7 +45,7 @@ def test_run_chains_sweeps_once_per_chain_sweep(small_panel, sweep_calls):
 
 
 def test_sim_item_sweeps_once_per_replicate_sweep(sweep_calls):
-    spec = spec_table(1, n_replicates=1)[0]
+    spec = spec_table(1)[0]
     targets = tuple(parse_target(m) for m in ("m1a", "m12", "mbr"))
     n_iter = 30
     settings = SamplerSettings(seed=5, n_iter=n_iter, n_burnin=10, monitor=frozenset({"mu"}))

@@ -336,15 +336,15 @@ def test_conditionals_match_log_joint(small_panel, tag):
 
 def test_run_chain_bookkeeping(small_panel):
     settings = SamplerSettings(seed=5, n_iter=10, n_burnin=5, n_chains=1, monitor=frozenset({"mu"}))
-    store = run_chains(small_panel, variant("m11a"), settings, stream_base=0)
-    assert store.draws.keys() == {"mu"}
-    assert store.draws["mu"].shape == (1, 5, 3)
+    draws = run_chains(small_panel, variant("m11a"), settings, stream_base=0)
+    assert draws.keys() == {"mu"}
+    assert draws["mu"].shape == (1, 5, 3)
 
 
 def test_run_chain_deterministic(small_panel):
     settings = SamplerSettings(seed=5, n_iter=50, n_burnin=10, monitor=frozenset({"mu", "variances"}))
-    a = run_chains(small_panel, variant("m11b"), settings, stream_base=3).draws
-    b = run_chains(small_panel, variant("m11b"), settings, stream_base=3).draws
+    a = run_chains(small_panel, variant("m11b"), settings, stream_base=3)
+    b = run_chains(small_panel, variant("m11b"), settings, stream_base=3)
     assert a.keys() == b.keys()
     for key in a:
         assert a[key].shape[:2] == (1, 40)
@@ -358,8 +358,8 @@ def test_thinned_store_is_every_thin_th_sweep(small_panel):
                               monitor=frozenset({"mu", "theta", "eta", "variances"}))
     full = SamplerSettings(seed=9, n_iter=80, n_burnin=20, n_chains=2, thin=1, monitor=thinned.monitor)
     assert thinned.n_kept == 20
-    a = run_chains(small_panel, model, thinned, stream_base=1).draws
-    b = run_chains(small_panel, model, full, stream_base=1).draws
+    a = run_chains(small_panel, model, thinned, stream_base=1)
+    b = run_chains(small_panel, model, full, stream_base=1)
     assert a.keys() == b.keys() == {"mu", "theta", "eta", "lambda_ij", "lambda_i", "tau1_sq", "tau2_sq"}
     for key in a:
         assert a[key].shape[:2] == (2, 20)
@@ -374,10 +374,10 @@ def test_run_chains_rejects_zero_chains(small_panel):
 def test_positivity_across_run(small_panel):
     settings = SamplerSettings(seed=6, n_iter=300, n_burnin=0, monitor=frozenset({"variances"}))
     for tag in ("m11a", "m11b", "m1a", "m1b", "m12"):
-        store = run_chains(small_panel, variant(tag), settings)
+        draws = run_chains(small_panel, variant(tag), settings)
         for name in ("lambda_ij", "lambda_i", "tau1_sq", "tau2_sq"):
-            if name in store.draws:
-                assert np.all(store.draws[name] > 0), f"{tag}/{name}"
+            if name in draws:
+                assert np.all(draws[name] > 0), f"{tag}/{name}"
 
 
 def test_m12_equals_pinned_m11a(small_panel):
@@ -386,7 +386,7 @@ def test_m12_equals_pinned_m11a(small_panel):
     m11a = variant("m11a")
     settings = SamplerSettings(seed=7, n_iter=40, n_burnin=0, monitor=frozenset({"mu"}))
 
-    draws_m12 = run_chains(small_panel, m12, settings, stream_base=2).draws
+    draws_m12 = run_chains(small_panel, m12, settings, stream_base=2)
 
     rng = RngStream(settings.seed, 2)
     state = init_state(small_panel, m12, 0.0, rng)  # same init draw pattern

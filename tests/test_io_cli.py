@@ -127,6 +127,24 @@ def test_fit_command_outputs_and_determinism(tmp_path, panel_file):
         assert hashlib.sha256((out1 / rel).read_bytes()).hexdigest() == digest
 
 
+def test_fit_without_draws_writes_the_same_tables(tmp_path, panel_file):
+    """phi, kappa and every table do not depend on whether the draws are saved."""
+    args = [
+        "fit", "--panel", str(panel_file), "--model", "m11b,m1a,m12,one-source", "--source", "brfss",
+        "--chains", "2", "--iters", "60", "--burnin", "20", "--seed", "8", "--out",
+    ]
+    assert main(args + [str(tmp_path / "saved")]) == 0
+    assert main(args + [str(tmp_path / "bare"), "--no-draws"]) == 0
+    saved, bare = _tree_digest(tmp_path / "saved"), _tree_digest(tmp_path / "bare")
+    tables = {n for n in saved if not n.startswith("draws") and n != "manifest.json"}
+    assert set(bare) == tables | {"manifest.json"}
+    for prefix in ("summary_", "phi_", "rhat_"):
+        assert sum(n.startswith(prefix) for n in tables) == 4, prefix
+    assert {n for n in tables if n.startswith("kappa_")} == {"kappa_m1a.csv"}
+    assert "plot_long.csv" in tables
+    assert {n: bare[n] for n in tables} == {n: saved[n] for n in tables}
+
+
 def test_fit_one_source_needs_source_flag(tmp_path, panel_file, capsys):
     assert main([
         "fit", "--panel", str(panel_file), "--model", "one-source",
@@ -239,6 +257,26 @@ def test_evaluate_refuses_a_repeated_area_in_one_line(tmp_path, capsys, repeated
     (tmp_path / repeated).write_text("area,value\nc1,0.30\nc2,0.20\nc2,0.40\n", encoding="utf-8")
     assert main(["evaluate", "--estimates", str(est), "--truths", str(tru)]) == 2
     assert f"{tmp_path / repeated}: area 'c2' is listed twice" in _one_error_line(capsys)
+
+
+_VALUE_REFUSALS = [
+    ("c2,nan", "value must be finite, got 'nan'"),
+    ("c2,-inf", "value must be finite, got '-inf'"),
+    ("c2", "no 'value' field"),
+    ("c2,abc", "non-numeric value 'abc'"),
+]
+
+
+@pytest.mark.parametrize("bad_file", ["est.csv", "tru.csv"])
+@pytest.mark.parametrize("row, message", _VALUE_REFUSALS, ids=[r for r, _ in _VALUE_REFUSALS])
+def test_evaluate_refuses_a_bad_value_with_its_line(tmp_path, capsys, bad_file, row, message):
+    est = tmp_path / "est.csv"
+    tru = tmp_path / "tru.csv"
+    est.write_text("area,value\nc1,0.30\nc2,0.20\n", encoding="utf-8")
+    tru.write_text("area,value\nc1,0.25\nc2,0.20\n", encoding="utf-8")
+    (tmp_path / bad_file).write_text(f"# manifest: x\narea,value\nc1,0.30\n{row}\n", encoding="utf-8")
+    assert main(["evaluate", "--estimates", str(est), "--truths", str(tru)]) == 2
+    assert f"{tmp_path / bad_file}:4: {message}" in _one_error_line(capsys)
 
 
 def test_simulate_command_deterministic_across_workers(tmp_path, monkeypatch):

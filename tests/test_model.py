@@ -133,8 +133,6 @@ def test_settings_validation():
         SamplerSettings(seed=1, monitor=frozenset({"bogus"}))
     s = SamplerSettings(seed=1)
     assert (s.n_iter, s.n_burnin, s.n_chains) == (18000, 3000, 1)
-    d = SamplerSettings.diagnostics_protocol(seed=1)
-    assert (d.n_iter, d.n_burnin, d.n_chains) == (7000, 2000, 5)
 
 
 def test_panel_arrays_immutable(small_panel):

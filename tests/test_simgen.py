@@ -14,12 +14,12 @@ from glsae.simgen import (
 )
 
 
-def _outlier_spec(p_mu, p_th, t_mu, t_th, I=20, reps=1):
+def _outlier_spec(p_mu, p_th, t_mu, t_th, I=20):
     return SimSpec(
         case_id=1, row=1,
         theta_level=LevelSpec("outlier", p=p_th, tau11=t_th),
         mu_level=LevelSpec("outlier", p=p_mu, tau11=t_mu),
-        n_areas=I, n_replicates=reps,
+        n_areas=I,
         v=np.full((I, 2), 1e-4),
     )
 
@@ -36,12 +36,12 @@ def test_case6_equals_case5_at_p_one():
     c5 = SimSpec(
         case_id=5, row=1, theta_level=None, mu_level=None,
         case5=Case5Params(tau=0.05, tau1=0.01, p=1.0, tau2=0.1),
-        n_areas=15, n_replicates=1, v=np.full((15, 2), 1e-4),
+        n_areas=15, v=np.full((15, 2), 1e-4),
     )
     c6 = SimSpec(
         case_id=6, row=1, theta_level=None, mu_level=None,
         case5=Case5Params(tau=0.05, tau1=0.01, p=0.123, tau2=0.1),  # p ignored at case 6
-        n_areas=15, n_replicates=1, v=np.full((15, 2), 1e-4),
+        n_areas=15, v=np.full((15, 2), 1e-4),
     )
     d5 = generate(c5, 3, RngStream(2, 9))
     d6 = generate(c6, 3, RngStream(2, 9))
@@ -54,7 +54,7 @@ def test_case3_mixture_small_component():
         case_id=3, row=1,
         theta_level=LevelSpec("mixture", p=0.0, tau21=0.4),
         mu_level=LevelSpec("mixture", p=0.0, tau21=0.4),  # delta=0: N(0.25, 0.05^2)
-        n_areas=4000, n_replicates=1, v=np.full((4000, 2), 1e-6),
+        n_areas=4000, v=np.full((4000, 2), 1e-6),
     )
     data = generate(spec, 0, RngStream(3, 0))
     assert abs(data.truth_mu.std() - 0.05) < 0.002
@@ -72,7 +72,7 @@ def test_empirical_moments_outlier_and_mixture():
         case_id=3, row=1,
         theta_level=LevelSpec("mixture", p=0.5, tau21=0.2),
         mu_level=LevelSpec("mixture", p=0.5, tau21=0.2),
-        n_areas=25, n_replicates=1, v=np.full((25, 2), 1e-6),
+        n_areas=25, v=np.full((25, 2), 1e-6),
     )
     mus = np.concatenate([generate(mix, k, RngStream(5, k)).truth_mu for k in range(8000)])
     expected = 0.5 * 0.2**2 + 0.5 * 0.05**2
@@ -101,7 +101,7 @@ def test_panel_scope_draws_single_indicator():
         case_id=1, row=1,
         theta_level=LevelSpec("outlier", p=0.5, tau11=0.2),
         mu_level=LevelSpec("outlier", p=0.5, tau11=0.2),
-        n_areas=40, n_replicates=1, v=np.full((40, 2), 1e-6), delta_scope="panel",
+        n_areas=40, v=np.full((40, 2), 1e-6), delta_scope="panel",
     )
     seen = set()
     for k in range(50):
@@ -136,7 +136,7 @@ def test_bootstrap_v_inside_generate():
         case_id=1, row=1,
         theta_level=LevelSpec("outlier", p=0.1, tau11=0.05),
         mu_level=LevelSpec("outlier", p=0.1, tau11=0.05),
-        n_areas=6, n_sources=4, n_replicates=1,
+        n_areas=6, n_sources=4,
         v_pool=np.array([1e-4, 2e-4, 5e-4]),
     )
     d = generate(spec, 0, RngStream(10, 0))
@@ -147,7 +147,7 @@ def test_bootstrap_v_inside_generate():
 def test_spec_table_row_counts_and_values():
     counts = {1: 30, 2: 36, 3: 20, 4: 36, 5: 18, 6: 12}
     for case, n in counts.items():
-        specs = spec_table(case, n_replicates=5)
+        specs = spec_table(case)
         assert len(specs) == n, case
         assert [s.row for s in specs] == list(range(1, n + 1))
 
@@ -169,7 +169,7 @@ def test_spec_table_file_override(tmp_path):
         "row,p2_mu,p2_theta,tau11_mu,tau11_theta\n1,0.3,0.3,0.07,0.07\n2,0.1,0.3,0.07,0.14\n",
         encoding="utf-8",
     )
-    specs = load_spec_table(path, 1, n_replicates=2, v=np.full((62, 2), 1e-4))
+    specs = load_spec_table(path, 1, v=np.full((62, 2), 1e-4))
     assert len(specs) == 2
     assert specs[0].mu_level.p == 0.3
     assert specs[1].theta_level.tau11 == 0.14
@@ -188,7 +188,7 @@ def test_case5_source_structure():
     spec = SimSpec(
         case_id=5, row=1, theta_level=None, mu_level=None,
         case5=Case5Params(tau=0.05, tau1=1e-9, p=0.5, tau2=0.3),
-        n_areas=400, n_replicates=1, v=np.full((400, 2), 1e-10),
+        n_areas=400, v=np.full((400, 2), 1e-10),
     )
     d = generate(spec, 0, RngStream(11, 0))
     # source 1 pinned to mu by tiny tau1

@@ -114,35 +114,37 @@ def test_kappa_worked_values(small_panel):
     assert np.all(k > 0.9999)  # tau1 -> 0: full shrink toward the area mean
 
 
-def test_summarize_constant_and_normal_draws(small_panel):
-    settings = SamplerSettings(seed=4, n_iter=40, n_burnin=10, monitor=frozenset({"mu"}))
-    store = run_chains(small_panel, variant("m12"), settings)
-    # overwrite with controlled draws: constant
-    store.draws["mu"] = np.full((1, 30, 3), 0.25)
-    s = summarize(store, 0.95, "mu")
+def _sampled_phi(panel, model, settings):
+    """phi formed from a run's variance draws, as ``glsae fit`` forms it."""
+    d = run_chains(panel, model, settings)
+    return phi_draws(panel, model, d.get("lambda_ij"), d["lambda_i"], d.get("tau1_sq"), d["tau2_sq"])
+
+
+def test_summarize_constant_and_normal_draws():
+    s = summarize(np.full((1, 30, 3), 0.25), 0.95)
     assert np.allclose(s.mean, 0.25) and np.allclose(s.lower, 0.25) and np.allclose(s.upper, 0.25)
 
     gen = np.random.default_rng(15)
-    store.draws["mu"] = gen.standard_normal((1, 1_000_000, 1))
-    s95 = summarize(store, 0.95, "mu")
+    draws = gen.standard_normal((1, 1_000_000, 1))
+    s95 = summarize(draws, 0.95)
     assert s95.lower[0] == pytest.approx(-1.96, abs=0.01)
     assert s95.upper[0] == pytest.approx(1.96, abs=0.01)
-    s80 = summarize(store, 0.80, "mu")
+    s80 = summarize(draws, 0.80)
     assert (s80.upper[0] - s80.lower[0]) <= (s95.upper[0] - s95.lower[0])
 
 
-def test_summarize_rejects_bad_level(small_panel):
-    settings = SamplerSettings(seed=4, n_iter=20, n_burnin=5, monitor=frozenset({"mu"}))
-    store = run_chains(small_panel, variant("m12"), settings)
+def test_summarize_rejects_bad_level():
     with pytest.raises(ValueError):
-        summarize(store, 1.5, "mu")
+        summarize(np.zeros((1, 15, 3)), 1.5)
 
 
-def test_phi_distribution_requires_monitoring(small_panel):
-    settings = SamplerSettings(seed=5, n_iter=20, n_burnin=5, monitor=frozenset({"mu"}))
-    store = run_chains(small_panel, variant("m12"), settings)
-    with pytest.raises(KeyError):
-        phi_distribution(store)
+def test_phi_is_derived_not_monitored():
+    """phi is no sampled quantity; phi_distribution pools the chains of the phi array it is given."""
+    with pytest.raises(ValueError, match="phi"):
+        SamplerSettings(seed=5, monitor=frozenset({"mu", "phi"}))
+    phi = np.random.default_rng(17).random((3, 20, 4))
+    expected = np.quantile(phi.reshape(60, 4), [0.0, 0.25, 0.5, 0.75, 1.0], axis=0).T
+    assert phi_distribution(phi).tobytes() == expected.tobytes()
 
 
 def test_phi_identical_areas_are_exchangeable():
@@ -150,9 +152,8 @@ def test_phi_identical_areas_are_exchangeable():
         ["a", "b"], ["s1", "s2"],
         [[0.25, 0.27], [0.25, 0.27]], [[0.003, 0.002], [0.003, 0.002]],
     )
-    settings = SamplerSettings(seed=6, n_iter=4000, n_burnin=1000, monitor=frozenset({"phi"}))
-    store = run_chains(panel, variant("m12"), settings)
-    fives = phi_distribution(store)
+    settings = SamplerSettings(seed=6, n_iter=4000, n_burnin=1000, monitor=frozenset({"variances"}))
+    fives = phi_distribution(_sampled_phi(panel, variant("m12"), settings))
     assert fives.shape == (2, 5)
     # identical rows: medians agree up to Monte Carlo error
     assert abs(fives[0, 2] - fives[1, 2]) < 0.05
@@ -174,18 +175,18 @@ def test_rao_blackwell_consistency(small_panel):
         monitor=frozenset({"mu", "variances"}),
     )
     model = variant("m11a")
-    store = run_chains(small_panel, model, settings, overdispersion=0.05)
+    draws = run_chains(small_panel, model, settings, overdispersion=0.05)
     dec = decompose(
         small_panel, model,
-        store.draws["lambda_ij"], store.draws["lambda_i"],
-        store.draws["tau1_sq"], store.draws["tau2_sq"],
+        draws["lambda_ij"], draws["lambda_i"],
+        draws["tau1_sq"], draws["tau2_sq"],
     )
     rb = dec.cond_mean.reshape(-1, small_panel.n_areas)
-    direct = store.pooled("mu")
+    direct = draws["mu"].reshape(-1, small_panel.n_areas)
     # MCSE from between-chain spread of each estimator
     C = settings.n_chains
     rb_chain = dec.cond_mean.mean(axis=1)
-    mu_chain = store.draws["mu"].mean(axis=1)
+    mu_chain = draws["mu"].mean(axis=1)
     se = np.sqrt(rb_chain.var(axis=0, ddof=1) / C + mu_chain.var(axis=0, ddof=1) / C)
     gap = np.abs(rb.mean(axis=0) - direct.mean(axis=0))
     assert np.all(gap < 4.0 * se + 1e-12)
@@ -198,12 +199,13 @@ def test_theta_kappa_decomposition_reproducible_from_draws(small_panel):
         monitor=frozenset({"mu", "theta", "variances"}),
     )
     model = variant("m1a")
-    store = run_chains(small_panel, model, settings)
-    kap = kappa_weights(small_panel, store.draws["lambda_ij"], store.draws["tau1_sq"])
-    mixed = (1.0 - kap) * small_panel.y + kap * store.draws["mu"][..., None]
-    direct = store.pooled("theta").mean(axis=0)
+    draws = run_chains(small_panel, model, settings)
+    kap = kappa_weights(small_panel, draws["lambda_ij"], draws["tau1_sq"])
+    mixed = (1.0 - kap) * small_panel.y + kap * draws["mu"][..., None]
+    theta = draws["theta"].reshape((-1,) + small_panel.v.shape)
+    direct = theta.mean(axis=0)
     rb = mixed.reshape((-1,) + mixed.shape[2:]).mean(axis=0)
-    se = store.pooled("theta").std(axis=0) / np.sqrt(store.pooled("theta").shape[0] / 50)
+    se = theta.std(axis=0) / np.sqrt(theta.shape[0] / 50)
     assert np.all(np.abs(direct - rb) < 4.0 * se + 1e-12)
 
 
@@ -212,13 +214,12 @@ def test_phi_spread_larger_for_horseshoe_than_lasso():
     from glsae.rng import RngStream
     from glsae.simgen import generate, spec_table
 
-    spec = spec_table(1, n_replicates=1)[3]  # heavy outliers at both levels
+    spec = spec_table(1)[3]  # heavy outliers at both levels
     data = generate(spec, 0, RngStream(55, 0))
-    settings = SamplerSettings(seed=56, n_iter=4000, n_burnin=1000, monitor=frozenset({"phi"}))
+    settings = SamplerSettings(seed=56, n_iter=4000, n_burnin=1000, monitor=frozenset({"variances"}))
     med = {}
     for tag in ("m1a", "m1b"):
-        store = run_chains(data.panel, variant(tag), settings)
-        med[tag] = phi_distribution(store)[:, 2]  # per-area phi medians
+        med[tag] = phi_distribution(_sampled_phi(data.panel, variant(tag), settings))[:, 2]  # per-area phi medians
     iqr = {t: np.subtract(*np.percentile(med[t], [75, 25])) for t in med}
     assert iqr["m1a"] > iqr["m1b"]
 
@@ -253,11 +254,12 @@ def test_phi_draws_bit_identical_to_decompose(tag, small_panel):
     assert phi.shape == lead + (I,)
     assert phi.tobytes() == decompose(panel, model, lam_ij, lam_i, t1, t2).phi.tobytes()
 
-    settings = SamplerSettings(seed=4, n_iter=60, n_burnin=10, n_chains=2, monitor=frozenset({"variances", "phi"}))
-    d = run_chains(panel, model, settings).draws
+    # the sampled draws, with one-source's absent tau1 passed as None as glsae fit passes it
+    settings = SamplerSettings(seed=4, n_iter=60, n_burnin=10, n_chains=2, monitor=frozenset({"variances"}))
+    d = run_chains(panel, model, settings)
     ones = np.ones(d["lambda_i"].shape[:2])
     dec = decompose(panel, model, d.get("lambda_ij"), d["lambda_i"], d.get("tau1_sq", ones), d["tau2_sq"])
-    assert d["phi"].tobytes() == dec.phi.tobytes()
+    assert _sampled_phi(panel, model, settings).tobytes() == dec.phi.tobytes()
 
 
 def test_kappa_weights_bit_identical_to_formula(small_panel):
