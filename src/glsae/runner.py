@@ -46,7 +46,7 @@ from .metrics import FitScore, MEASURES, aggregate, best_model_counts, discrepan
 from .model import ModelVariant, SamplerSettings, SourcePanel, variant
 from .rng import RngStream, derive_stream_id
 from .simgen import generate, load_spec_table, spec_table, synthetic_v_pool
-from .summary import kappa_weights, phi_distribution, phi_draws, summarize
+from .summary import DRAW_BLOCK, kappa_weights, phi_distribution, phi_draws, summarize
 
 _STREAM_FIT = 0
 _STREAM_GEN = 1
@@ -142,6 +142,24 @@ def _save_draws(draws: dict[str, np.ndarray], settings: SamplerSettings, model: 
     return written
 
 
+def _kappa_mean(panel: SourcePanel, lambda_ij: np.ndarray, tau1_sq: np.ndarray) -> np.ndarray:
+    """Posterior mean of the (I, J) kappa weights over (chain, kept) draws, formed in blocks.
+
+    Each block's rows are added to the running sum one after another in
+    draw order, as ``.mean(axis=0)`` over all draws adds them, so the mean
+    is the same to the bit with no (chain, kept, I, J) temporary (the sum
+    starts at zero, and 0.0 + kappa is kappa, as kappa > 0).
+    """
+    lambda_ij = lambda_ij.reshape((-1,) + panel.v.shape)
+    tau1_sq = tau1_sq.reshape(-1)
+    total = np.zeros(panel.v.shape)
+    for start in range(0, len(tau1_sq), DRAW_BLOCK):
+        block = slice(start, start + DRAW_BLOCK)
+        kap = kappa_weights(panel, lambda_ij[block], tau1_sq[block])
+        total = np.add.reduce(np.concatenate((total[None], kap)), axis=0)
+    return total / len(tau1_sq)
+
+
 def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, fit_panel: SourcePanel,
                out: Path, stamp: str, long_rows: list) -> list[Path]:
     """Sample one variant, form its phi draws, write its tables (and draws), append its plot rows.
@@ -180,8 +198,7 @@ def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, 
     written.append(p)
 
     if model.theta_variance_form == "source":
-        kap = kappa_weights(fit_panel, draws["lambda_ij"], draws["tau1_sq"])
-        kap_mean = kap.reshape((-1,) + fit_panel.v.shape).mean(axis=0)
+        kap_mean = _kappa_mean(fit_panel, draws["lambda_ij"], draws["tau1_sq"])
         rows = [
             (area, src, kap_mean[i, j])
             for i, area in enumerate(fit_panel.areas)
@@ -412,6 +429,11 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
         raise ValueError("duplicate model names")
     for target in targets:
         variant(target.tag)  # raises on an unknown model name
+        if target.source_index is not None and target.source_index >= config.n_sources:
+            raise ValueError(
+                f"model {target.name!r} fits source column {target.source_index}, "
+                f"but the panels have {config.n_sources} source(s)"
+            )
 
     if config.v_panel:
         observed = load_panel(config.v_panel).v

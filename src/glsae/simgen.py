@@ -32,11 +32,11 @@ log-uniform over [1e-5, 1e-2], seed 20100.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import _numbered_records
 from .model import SourcePanel
 from .rng import RngStream
 
@@ -283,13 +283,39 @@ def spec_table(
 
 
 def load_spec_table(path, case_id: int, **kw) -> list[SimSpec]:
-    """Grid override from a delimited file whose columns match the case's parameters."""
+    """Grid override from a delimited file whose columns match the case's parameters.
+
+    Every parameter column of the case's grid must be present and filled.
+    A missing column or value, a non-numeric cell and a non-integer
+    ``row`` are refused with the file and the 1-based line.
+    """
+    if case_id not in _GRIDS:
+        raise ValueError(f"unknown case {case_id}")
+    required = list(next(_GRIDS[case_id]()))
+    (header_line, header), *records = _numbered_records(path)
+    for name in required:
+        if name not in header:
+            raise ValueError(f"{path}:{header_line}: no {name!r} column for case {case_id}")
     specs = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row_no, record in enumerate(reader, start=1):
-            params = {k: float(v) for k, v in record.items() if k != "row" and v not in (None, "")}
-            specs.append(_spec_from_params(case_id, int(record.get("row", row_no)), params, **kw))
+    for row_no, (lineno, fields) in enumerate(records, start=1):
+        row, params = row_no, {}
+        for name, cell in zip(header, fields):
+            if cell == "":
+                continue
+            if name == "row":
+                try:
+                    row = int(cell)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: non-integer row {cell!r}") from None
+                continue
+            try:
+                params[name] = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric {name} {cell!r}") from None
+        for name in required:
+            if name not in params:
+                raise ValueError(f"{path}:{lineno}: no {name!r} value")
+        specs.append(_spec_from_params(case_id, row, params, **kw))
     if not specs:
         raise ValueError(f"no specification rows in {path}")
     return specs

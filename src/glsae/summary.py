@@ -83,14 +83,14 @@ def source_variance(
     return np.multiply(lambda_ij, tau1, out=out)
 
 
-def _weights_and_h2(s2, out: np.ndarray | None = None):
-    """Cell weights w = 1/s2 (into ``out`` when given) and h2 = 1 / sum_j w.
+def _weights_and_h2(s2, out: np.ndarray | None = None, h2_out: np.ndarray | None = None):
+    """Cell weights w = 1/s2 (into ``out`` when given) and h2 = 1 / sum_j w (into ``h2_out``).
 
     np.reciprocal is 1.0 / s2 to the bit, as in glsae.gibbs; this is the
     one place h2 is formed, for the sampler and for the phi draws alike.
     """
     w = np.reciprocal(s2, out=out)
-    h2 = np.add.reduce(w, -1)
+    h2 = np.add.reduce(w, -1, out=h2_out)
     return w, np.reciprocal(h2, out=h2)
 
 
@@ -242,6 +242,12 @@ def conditional_mean_joint_solve(
     return sol[:I]
 
 
+# Draws per block when phi and the kappa mean are formed from a run's
+# draws: their work buffers hold (DRAW_BLOCK, I, J) values, whatever the
+# number of draws.
+DRAW_BLOCK = 256
+
+
 def phi_draws(
     panel: SourcePanel,
     model: ModelVariant,
@@ -253,22 +259,46 @@ def phi_draws(
     """phi = A / (A + h2) for a batch of draws, bit-identical to ``decompose(...).phi``.
 
     Takes the arguments of :func:`decompose` (``tau1_sq`` is ignored
-    without a th level) but forms only phi: the (..., I, J) work runs in one
-    buffer, overwritten in place from a to v + a to 1/s2 before the sum
-    over sources, and A becomes phi in place.
+    without a th level) but forms only phi. The draws are worked in blocks
+    of at most :data:`DRAW_BLOCK` along their flattened leading axes. Each
+    block's (block, I, J) work runs in one buffer, overwritten in place
+    from a to v + a to 1/s2 before the sum over sources; its h2 and
+    A + h2 share one (block, I) buffer, and A becomes phi in place.
     """
     lambda_i = np.asarray(lambda_i, dtype=float)
     A = lambda_i * np.asarray(tau2_sq, dtype=float)[..., None]
     v = panel.v
+    I, J = v.shape
+    lead = A.shape[:-1]
+
+    def rows(x, tail):
+        # one row per draw; a view when x already has every leading axis
+        return np.broadcast_to(x, lead + tail).reshape((-1,) + tail)
+
+    phi = A.reshape(-1, I)
+    n = len(phi)
+    den = np.empty((min(n, DRAW_BLOCK), I))
     if model.has_theta_level:
-        buf = np.empty(lambda_i.shape + v.shape[-1:])
-        source_variance(model, lambda_ij, lambda_i, tau1_sq, shape=v.shape, out=buf)
-        np.add(v, buf, out=buf)
-        _, h2 = _weights_and_h2(buf, out=buf)
-        den = np.add(A, h2, out=h2)
-    else:
-        den = A + panel.h2_v
-    return np.divide(A, den, out=A)
+        lambda_i = rows(lambda_i, (I,))
+        if lambda_ij is not None:
+            lambda_ij = rows(np.asarray(lambda_ij, dtype=float), (I, J))
+        tau1_sq = rows(np.asarray(tau1_sq, dtype=float), ())
+        s2 = np.empty(den.shape + (J,))
+    for start in range(0, n, DRAW_BLOCK):
+        block = slice(start, start + DRAW_BLOCK)
+        a = phi[block]
+        d = den[: len(a)]
+        if model.has_theta_level:
+            b = s2[: len(a)]
+            lij = None if lambda_ij is None else lambda_ij[block]
+            source_variance(model, lij, lambda_i[block], tau1_sq[block], shape=v.shape, out=b)
+            np.add(v, b, out=b)
+            _weights_and_h2(b, out=b, h2_out=d)
+            np.add(a, d, out=d)
+        else:
+            np.add(a, panel.h2_v, out=d)
+        np.divide(a, d, out=a)
+    return A
 
 
 def kappa_weights(panel: SourcePanel, lambda_ij, tau1_sq) -> np.ndarray:

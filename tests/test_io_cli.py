@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from glsae.cli import main
-from glsae.io import PanelFormatError, load_panel, save_panel, read_table
+from glsae.io import PanelFormatError, fmt, load_panel, save_panel, read_table
 from glsae.runner import _sim_item, worker_count
+from glsae.summary import DRAW_BLOCK, kappa_weights
 
 
 def _write_panel(path, rows, header="area,source,estimate,se"):
@@ -143,6 +144,24 @@ def test_fit_without_draws_writes_the_same_tables(tmp_path, panel_file):
     assert {n for n in tables if n.startswith("kappa_")} == {"kappa_m1a.csv"}
     assert "plot_long.csv" in tables
     assert {n: bare[n] for n in tables} == {n: saved[n] for n in tables}
+
+
+def test_fit_kappa_table_is_the_mean_over_all_draws(tmp_path, panel_file):
+    """The kappa table, summed block by block, is the plain mean of every draw's kappa to the bit."""
+    out = tmp_path / "fit"
+    assert main([
+        "fit", "--panel", str(panel_file), "--model", "m1a,m1b",
+        "--chains", "3", "--iters", "400", "--burnin", "50", "--seed", "12", "--out", str(out),
+    ]) == 0
+    assert 3 * 350 > DRAW_BLOCK and (3 * 350) % DRAW_BLOCK
+    panel = load_panel(panel_file)
+    for tag in ("m1a", "m1b"):
+        lam_ij = np.load(out / "draws" / tag / "lambda_ij.npy")
+        assert lam_ij.shape == (3, 350, 8, 2)
+        kap = kappa_weights(panel, lam_ij, np.load(out / "draws" / tag / "tau1_sq.npy"))
+        want = kap.reshape(-1, 8, 2).mean(axis=0)
+        _, rows = read_table(out / f"kappa_{tag}.csv")
+        assert [r[2] for r in rows] == [fmt(x) for x in want.reshape(-1)]
 
 
 def test_fit_one_source_needs_source_flag(tmp_path, panel_file, capsys):
@@ -519,12 +538,30 @@ def test_simulate_rejects_rows_outside_the_grid_before_writing(tmp_path, capsys,
 @pytest.mark.parametrize("extra, message", [
     (["--replicates", "0"], "replicates must be >= 1, got 0"),
     (["--iters", "10", "--burnin", "20"], "need 0 <= n_burnin < n_iter"),
+    (["--sources", "1", "--bootstrap-v", "--models", "m1a,msa", "--baseline", "m1a"],
+     "model 'msa' fits source column 1, but the panels have 1 source(s)"),
 ])
 def test_simulate_rejects_bad_settings_before_writing(tmp_path, monkeypatch, capsys, extra, message):
     monkeypatch.setenv("GLSAE_WORKERS", "2")
     out = tmp_path / "x"
     assert main(_toy_simulate(3) + [str(out), *extra]) == 2
     assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, at_line", [
+    ("row,p2_mu,tau11_mu,tau11_theta\n1,0.3,0.07,0.07\n", ":1: no 'p2_theta' column for case 1"),
+    ("row,p2_mu,p2_theta,tau11_mu,tau11_theta\n1,0.3,0.3,0.07,0.07\n2,0.1,abc,0.07,0.14\n",
+     ":3: non-numeric p2_theta 'abc'"),
+    ("row,p2_mu,p2_theta,tau11_mu,tau11_theta\n1,0.3,,0.07,0.07\n", ":2: no 'p2_theta' value"),
+    ("row,p2_mu,p2_theta,tau11_mu,tau11_theta\nx,0.3,0.3,0.07,0.07\n", ":2: non-integer row 'x'"),
+], ids=["missing-column", "non-numeric", "empty-cell", "non-integer-row"])
+def test_simulate_rejects_bad_spec_file_by_line(tmp_path, capsys, grid, at_line):
+    spec = tmp_path / "grid.csv"
+    spec.write_text(grid, encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(_toy_simulate(3) + [str(out), "--specs", str(spec)]) == 2
+    assert f"{spec}{at_line}" in _one_error_line(capsys)
     assert not out.exists()
 
 

@@ -1,9 +1,10 @@
-"""Memory bounds of a fit: one model's draws plus one working buffer.
+"""Memory bounds of a fit: one model's draws plus one block's work buffer.
 
 ``run_chains`` allocates one (chain, kept, ...) array per monitored
 quantity and each chain records straight into its rows. ``run_fit`` then
-forms phi from the variance draws with ``phi_draws``, in one reused
-buffer, and releases each model's draws before the next model samples.
+forms phi and the kappa mean from the variance draws in blocks of at most
+``DRAW_BLOCK`` draws, each in one (block, I, J) buffer, and releases each
+model's draws before the next model samples.
 """
 
 import tracemalloc
@@ -17,7 +18,7 @@ from glsae.gibbs import run_chains
 from glsae.io import save_panel
 from glsae.model import SamplerSettings, SourcePanel, VARIANT_TAGS, variant
 from glsae.runner import FitConfig, run_fit
-from glsae.summary import phi_draws
+from glsae.summary import DRAW_BLOCK, phi_draws
 
 # run_fit's monitored set
 _FIT_MONITOR = frozenset({"mu", "eta", "variances"})
@@ -52,6 +53,33 @@ def test_run_chains_peak_is_bounded_by_its_store(tag):
         tracemalloc.stop()
     nbytes = sum(arr.nbytes for arr in draws.values())
     assert peak <= 2.5 * nbytes, f"traced peak {peak / nbytes:.2f} x the draws' {nbytes} bytes"
+
+
+@pytest.mark.parametrize("tag", VARIANT_TAGS)
+def test_phi_draws_works_in_one_block_buffer(tag):
+    """Beyond its (chain, kept, I) output, phi over many draws holds one block's buffer and its h2."""
+    model = variant(tag)
+    panel = _panel()
+    if not model.has_theta_level:
+        panel = panel.select_source(0)
+    I, J = panel.n_areas, panel.n_sources
+    gen = np.random.default_rng(10)
+    lead = (5, 450)
+    lam_ij = np.exp(gen.normal(size=lead + (I, J)))
+    lam_i = np.exp(gen.normal(size=lead + (I,)))
+    t1, t2 = np.exp(gen.normal(size=lead)), np.exp(gen.normal(size=lead))
+    tracemalloc.start()
+    try:
+        phi = phi_draws(panel, model, lam_ij, lam_i, t1, t2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = DRAW_BLOCK * I * J * 8
+    assert phi.nbytes > block
+    # the (block, I, J) buffer and the (block, I) one for h2, plus numpy's own
+    # iterator buffers (8192 elements) for the broadcast operations
+    work = peak - phi.nbytes
+    assert work <= 1.5 * block + 2**17, f"working memory {work / block:.2f} x one block's buffer"
 
 
 def test_one_chain_records_into_its_store_without_a_copy():

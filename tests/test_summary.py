@@ -5,6 +5,7 @@ from glsae.gibbs import run_chains
 from glsae.model import SamplerSettings, SourcePanel, variant
 from glsae.rng import RngStream
 from glsae.summary import (
+    DRAW_BLOCK,
     conditional_mean_direct,
     conditional_mean_joint_solve,
     decompose,
@@ -239,20 +240,25 @@ def test_decompose_batch_matches_single(small_panel):
 
 @pytest.mark.parametrize("tag", ["m11a", "m11b", "m1a", "m1b", "m12", "one_source"])
 def test_phi_draws_bit_identical_to_decompose(tag, small_panel):
-    """The one-buffer phi path gives decompose's phi to the bit, on a (chain, kept) batch."""
+    """The blocked phi path gives decompose's phi to the bit, on (chain, kept) batches.
+
+    (3, 350) holds more draws than one block and is no multiple of it, so
+    it crosses block edges and ends on a short block.
+    """
     model = variant(tag)
     panel = small_panel if model.has_theta_level else small_panel.select_source(0)
     I, J = panel.n_areas, panel.n_sources
     gen = np.random.default_rng(23)
-    lead = (5, 40)
-    lam_ij = np.exp(gen.normal(0.0, 3.0, size=lead + (I, J))) if model.has_local_ij else None
-    lam_i = np.ones(lead + (I,)) if model.local_prior == "unit" else np.exp(gen.normal(0.0, 3.0, size=lead + (I,)))
-    # one-source carries no tau1 draws; the store used to pass ones to decompose
-    t1 = np.exp(gen.normal(-2.0, 3.0, size=lead)) if model.has_theta_level else np.ones(lead)
-    t2 = np.exp(gen.normal(-2.0, 3.0, size=lead))
-    phi = phi_draws(panel, model, lam_ij, lam_i, t1, t2)
-    assert phi.shape == lead + (I,)
-    assert phi.tobytes() == decompose(panel, model, lam_ij, lam_i, t1, t2).phi.tobytes()
+    assert 3 * 350 > DRAW_BLOCK and (3 * 350) % DRAW_BLOCK
+    for lead in ((5, 40), (3, 350)):
+        lam_ij = np.exp(gen.normal(0.0, 3.0, size=lead + (I, J))) if model.has_local_ij else None
+        lam_i = np.ones(lead + (I,)) if model.local_prior == "unit" else np.exp(gen.normal(0.0, 3.0, size=lead + (I,)))
+        # one-source carries no tau1 draws; the store used to pass ones to decompose
+        t1 = np.exp(gen.normal(-2.0, 3.0, size=lead)) if model.has_theta_level else np.ones(lead)
+        t2 = np.exp(gen.normal(-2.0, 3.0, size=lead))
+        phi = phi_draws(panel, model, lam_ij, lam_i, t1, t2)
+        assert phi.shape == lead + (I,)
+        assert phi.tobytes() == decompose(panel, model, lam_ij, lam_i, t1, t2).phi.tobytes()
 
     # the sampled draws, with one-source's absent tau1 passed as None as glsae fit passes it
     settings = SamplerSettings(seed=4, n_iter=60, n_burnin=10, n_chains=2, monitor=frozenset({"variances"}))
