@@ -3,12 +3,15 @@
 Panels arrive as UTF-8 CSV with the mandatory header
 ``area,source,estimate,se`` (comma separator, period decimal): one row per
 (area, source) cell, standard errors rather than variances (squared on
-ingestion). The panel must be rectangular with no duplicate cells.
+ingestion). The panel must be rectangular with no duplicate cells, and
+:class:`~glsae.model.SourcePanel` refuses a panel that breaks any other
+invariant.
 
 All emitted tables are CSV with floats written in shortest round-trip
 form, so byte-identical reruns are a meaningful contract. Output tables
 begin with a ``# manifest: <hash>`` comment line tying them to the run
-manifest; readers here skip ``#`` lines.
+manifest. Every reader here, the panel reader included, skips ``#``
+lines and blank or whitespace-only lines, before the header too.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import SourcePanel, validate_panel
+from .model import SourcePanel
 
 PANEL_HEADER = ("area", "source", "estimate", "se")
 
@@ -31,61 +34,40 @@ class PanelFormatError(ValueError):
 
 
 def load_panel(path) -> SourcePanel:
-    """Parse and validate a panel file; errors carry 1-based line numbers."""
+    """Parse a panel file: a bad record is refused with its 1-based line, a bad panel with its cells."""
     path = Path(path)
-    cells: dict[tuple[str, str], tuple[float, float]] = {}
-    areas: list[str] = []
-    sources: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != PANEL_HEADER:
-            raise PanelFormatError(f"{path}:1: header must be {','.join(PANEL_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row and row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 4:
-                raise PanelFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            area, source = row[0].strip(), row[1].strip()
-            try:
-                est = float(row[2])
-                se = float(row[3])
-            except ValueError:
-                raise PanelFormatError(f"{path}:{lineno}: non-numeric estimate or se") from None
-            if not np.isfinite(est) or not np.isfinite(se):
-                raise PanelFormatError(f"{path}:{lineno}: estimate and se must be finite")
-            if se <= 0:
-                raise PanelFormatError(f"{path}:{lineno}: se must be > 0")
-            key = (area, source)
-            if key in cells:
-                raise PanelFormatError(f"{path}:{lineno}: duplicate cell (area {area!r}, source {source!r})")
-            cells[key] = (est, se)
-            if area not in areas:
-                areas.append(area)
-            if source not in sources:
-                sources.append(source)
-    if not cells:
+    (header_line, header), *records = _numbered_records(path)
+    if tuple(h.strip() for h in header) != PANEL_HEADER:
+        raise PanelFormatError(f"{path}:{header_line}: header must be {','.join(PANEL_HEADER)}")
+    if not records:
         raise PanelFormatError(f"{path}: no data rows")
-    y = np.empty((len(areas), len(sources)))
-    v = np.empty_like(y)
-    for i, area in enumerate(areas):
-        for j, source in enumerate(sources):
-            if (area, source) not in cells:
-                raise PanelFormatError(f"{path}: non-rectangular panel; missing (area {area!r}, source {source!r})")
-            est, se = cells[(area, source)]
-            y[i, j] = est
-            v[i, j] = se * se
-    panel = SourcePanel(tuple(areas), tuple(sources), y, v)
-    report = validate_panel(panel)
-    if not report.ok:
-        msgs = "; ".join(viol.message for viol in report.violations)
-        raise PanelFormatError(f"{path}: invalid panel: {msgs}")
-    return panel
+    cells: dict[tuple[str, str], tuple[float, float]] = {}  # (area, source) -> (estimate, variance)
+    for lineno, row in records:
+        if len(row) != 4:
+            raise PanelFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+        area, source = row[0].strip(), row[1].strip()
+        try:
+            est = float(row[2])
+            se = float(row[3])
+        except ValueError:
+            raise PanelFormatError(f"{path}:{lineno}: non-numeric estimate or se") from None
+        if not (math.isfinite(est) and math.isfinite(se)):
+            raise PanelFormatError(f"{path}:{lineno}: estimate and se must be finite")
+        if se <= 0:
+            raise PanelFormatError(f"{path}:{lineno}: se must be > 0")
+        if (area, source) in cells:
+            raise PanelFormatError(f"{path}:{lineno}: duplicate cell (area {area!r}, source {source!r})")
+        cells[(area, source)] = (est, se * se)  # a float product: an extreme se gives 0 or inf
+    areas = tuple(dict.fromkeys(area for area, _ in cells))
+    sources = tuple(dict.fromkeys(source for _, source in cells))
+    if len(cells) != len(areas) * len(sources):
+        area, source = next((a, s) for a in areas for s in sources if (a, s) not in cells)
+        raise PanelFormatError(f"{path}: non-rectangular panel; missing (area {area!r}, source {source!r})")
+    y_v = np.array([[cells[area, source] for source in sources] for area in areas])
+    try:
+        return SourcePanel(areas, sources, y_v[..., 0], y_v[..., 1])
+    except ValueError as exc:
+        raise PanelFormatError(f"{path}: invalid panel: {exc}") from None
 
 
 def save_panel(panel: SourcePanel, path) -> None:
@@ -117,10 +99,13 @@ def write_table(path, header, rows, manifest_hash: str | None) -> None:
 
 
 def _numbered_records(path) -> list[tuple[int, list[str]]]:
-    """(1-based line, fields) of each CSV record that is neither blank nor a ``#`` comment."""
+    """(1-based line, fields) of each CSV record that is neither blank, whitespace-only nor a ``#`` comment."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        records = [(reader.line_num, r) for r in reader if r and not r[0].lstrip().startswith("#")]
+        records = [
+            (reader.line_num, r) for r in reader
+            if r and not r[0].lstrip().startswith("#") and (len(r) > 1 or r[0].strip())
+        ]
     if not records:
         raise PanelFormatError(f"{path}: no header row")
     return records
@@ -156,15 +141,15 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def load_value_csv(path, value_column: str = "value") -> tuple[list[str], np.ndarray]:
+def load_value_csv(path) -> tuple[list[str], np.ndarray]:
     """Read (area, value) pairs, one per area; returns area labels and the value vector.
 
     A missing, non-numeric or non-finite value is refused with its 1-based line.
     """
     (_, header), *rows = _numbered_records(path)
-    if header[:1] != ["area"] or value_column not in header:
-        raise PanelFormatError(f"{path}: expected columns 'area' and {value_column!r}")
-    vcol = header.index(value_column)
+    if header[:1] != ["area"] or "value" not in header:
+        raise PanelFormatError(f"{path}: expected columns 'area' and 'value'")
+    vcol = header.index("value")
     areas = [r[0] for _, r in rows]
     seen = set()
     for area in areas:
@@ -174,12 +159,12 @@ def load_value_csv(path, value_column: str = "value") -> tuple[list[str], np.nda
     values = []
     for lineno, r in rows:
         if len(r) <= vcol:
-            raise PanelFormatError(f"{path}:{lineno}: no {value_column!r} field")
+            raise PanelFormatError(f"{path}:{lineno}: no 'value' field")
         try:
             value = float(r[vcol])
         except ValueError:
-            raise PanelFormatError(f"{path}:{lineno}: non-numeric {value_column} {r[vcol]!r}") from None
+            raise PanelFormatError(f"{path}:{lineno}: non-numeric value {r[vcol]!r}") from None
         if not math.isfinite(value):
-            raise PanelFormatError(f"{path}:{lineno}: {value_column} must be finite, got {r[vcol]!r}")
+            raise PanelFormatError(f"{path}:{lineno}: value must be finite, got {r[vcol]!r}")
         values.append(value)
     return areas, np.array(values)

@@ -105,7 +105,9 @@ class SourcePanel:
     """Observed per-area, per-source point estimates and sampling variances.
 
     ``y`` and ``v`` are (I, J) arrays on the proportion scale; ``v`` holds
-    fixed, known sampling variances. No missing cells.
+    fixed, known sampling variances. No missing cells. The constructor
+    refuses a panel that breaks an invariant with one ``ValueError`` that
+    lists every problem and names the offending cells.
 
     The sampler's panel constants are computed once, read-only, from y
     and v: ``inv_v`` = 1/v and ``y_over_v`` = y/v (the data terms of the
@@ -126,17 +128,16 @@ class SourcePanel:
     def __post_init__(self):
         y = np.array(self.y, dtype=float)
         v = np.array(self.v, dtype=float)
-        if y.ndim == 2 and y.shape == v.shape:
-            # a v <= 0 is reported by validate_panel, and such a panel is never sampled
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv_v = 1.0 / v
-                h2_v = 1.0 / inv_v.sum(axis=-1)
-                derived = {"inv_v": inv_v, "y_over_v": y / v, "h2_v": h2_v,
-                           "ybar_v": (y * inv_v).sum(axis=-1) * h2_v}
-        else:  # likewise reported by validate_panel
-            derived = {name: np.full(v.shape, np.nan) for name in ("inv_v", "y_over_v", "h2_v", "ybar_v")}
-        object.__setattr__(self, "areas", tuple(str(a) for a in self.areas))
-        object.__setattr__(self, "sources", tuple(str(s) for s in self.sources))
+        areas = tuple(str(a) for a in self.areas)
+        sources = tuple(str(s) for s in self.sources)
+        problems = _panel_problems(areas, sources, y, v)
+        if problems:
+            raise ValueError("; ".join(problems))
+        inv_v = 1.0 / v
+        h2_v = 1.0 / inv_v.sum(axis=-1)
+        derived = {"inv_v": inv_v, "y_over_v": y / v, "h2_v": h2_v, "ybar_v": (y * inv_v).sum(axis=-1) * h2_v}
+        object.__setattr__(self, "areas", areas)
+        object.__setattr__(self, "sources", sources)
         for name, arr in {"y": y, "v": v, **derived}.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -154,47 +155,29 @@ class SourcePanel:
         return SourcePanel(self.areas, (self.sources[j],), self.y[:, [j]], self.v[:, [j]])
 
 
-@dataclass(frozen=True)
-class PanelViolation:
-    code: str
-    where: tuple | None
-    message: str
-
-
-@dataclass(frozen=True)
-class PanelReport:
-    violations: tuple[PanelViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_panel(panel: SourcePanel) -> PanelReport:
-    """Check every panel invariant; the report lists all violations found."""
-    bad: list[PanelViolation] = []
-    y, v = panel.y, panel.v
-    if y.ndim != 2 or v.ndim != 2 or y.shape != v.shape:
-        bad.append(PanelViolation("shape", None, f"y {y.shape} and v {v.shape} must be equal 2-d shapes"))
-        return PanelReport(tuple(bad))
+def _panel_problems(areas: tuple, sources: tuple, y: np.ndarray, v: np.ndarray) -> list[str]:
+    """Every panel invariant that (areas, sources, y, v) break; empty when the panel is valid."""
+    if y.ndim != 2 or y.shape != v.shape:
+        return [f"y {y.shape} and v {v.shape} must be equal 2-d shapes"]
     I, J = y.shape
-    if I != len(panel.areas) or J != len(panel.sources):
-        bad.append(PanelViolation("labels", None, "area/source labels do not match matrix dimensions"))
+    problems = []
+    if I != len(areas) or J != len(sources):
+        problems.append("area/source labels do not match matrix dimensions")
     if I < 2:
-        bad.append(PanelViolation("too_few_areas", None, f"need at least 2 areas, got {I}"))
+        problems.append(f"need at least 2 areas, got {I}")
     if J < 1:
-        bad.append(PanelViolation("no_sources", None, "need at least 1 source"))
-    if len(set(panel.areas)) != len(panel.areas):
-        bad.append(PanelViolation("duplicate_area", None, "duplicate area ids"))
-    if len(set(panel.sources)) != len(panel.sources):
-        bad.append(PanelViolation("duplicate_source", None, "duplicate source ids"))
-    for i in range(I):
-        for j in range(J):
-            if not np.isfinite(y[i, j]):
-                bad.append(PanelViolation("nonfinite_estimate", (i, j), f"estimate at {(i, j)} is not finite"))
-            if not np.isfinite(v[i, j]) or v[i, j] <= 0:
-                bad.append(PanelViolation("nonpositive_variance", (i, j), f"sampling variance at {(i, j)} must be > 0"))
-    return PanelReport(tuple(bad))
+        problems.append("need at least 1 source")
+    if len(set(areas)) != len(areas):
+        problems.append("duplicate area ids")
+    if len(set(sources)) != len(sources):
+        problems.append("duplicate source ids")
+    problems += [f"estimate at {(int(i), int(j))} is not finite" for i, j in np.argwhere(~np.isfinite(y))]
+    problems += [f"sampling variance at {(int(i), int(j))} must be > 0"
+                 for i, j in np.argwhere(~(np.isfinite(v) & (v > 0)))]
+    # 1/v overflows to inf for the smaller subnormals, so every subnormal v is refused
+    problems += [f"sampling variance at {(int(i), int(j))} is below the smallest normal float"
+                 for i, j in np.argwhere((v > 0) & (v < np.finfo(float).tiny))]
+    return problems
 
 
 @dataclass

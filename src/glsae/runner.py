@@ -294,6 +294,13 @@ def parse_target(name: str) -> SimTarget:
     return SimTarget(name=lowered, tag=lowered)
 
 
+# Simulation scales; SimConfig's defaults are the desk preset.
+PRESETS = {
+    "desk": {"n_replicates": 30, "n_iter": 6000, "n_burnin": 1000},
+    "paper": {"n_replicates": 100, "n_iter": 18000, "n_burnin": 3000},
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     case: int
@@ -302,9 +309,9 @@ class SimConfig:
     models: tuple[str, ...] = ("m1a", "m12")
     baseline: str | None = None  # default: m12 for cases 1-4, m1a for 5-6
     rows: tuple[int, ...] | None = None
-    n_replicates: int = 30
-    n_iter: int = 6000
-    n_burnin: int = 1000
+    n_replicates: int = PRESETS["desk"]["n_replicates"]
+    n_iter: int = PRESETS["desk"]["n_iter"]
+    n_burnin: int = PRESETS["desk"]["n_burnin"]
     n_sources: int = 2
     bootstrap_v: bool = False  # redraw sampling variances per replicate from the pool
     v_panel: str | None = None
@@ -341,11 +348,9 @@ class SimConfig:
 
 def apply_preset(name: str) -> dict:
     """Sampler scale presets: `desk` finishes in minutes, `paper` is full scale."""
-    if name == "desk":
-        return {"n_replicates": 30, "n_iter": 6000, "n_burnin": 1000}
-    if name == "paper":
-        return {"n_replicates": 100, "n_iter": 18000, "n_burnin": 3000}
-    raise ValueError(f"unknown preset {name!r}")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    return dict(PRESETS[name])
 
 
 def _sim_item(args) -> tuple[int, int, dict[str, dict]]:
@@ -445,7 +450,7 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     else:
         if observed.shape[1] != config.n_sources:
             raise ValueError("fixed-variance mode needs a pool matching --sources; use bootstrap for other J")
-        v_kw = {"v": observed, "v_pool": None}
+        v_kw = {"v": observed, "v_pool": None, "n_areas": observed.shape[0]}
     common = {
         "n_sources": config.n_sources,
         "delta_scope": config.delta_scope,

@@ -5,9 +5,11 @@ one per chain-sweep (fit) or replicate-sweep (simulate); its output check
 reads one cache JSON per (row, replicate) item, holding
 ``scores[model][measure]`` for every fitted model. A sampler that batches
 chains or replicates has to change that counter and check first. The
-tracer wraps functions by name, so each name it wraps must keep resolving.
+tracer wraps functions by name, and the harness imports glsae names in its
+modules and in the probe code it runs, so each such name must keep resolving.
 """
 
+import ast
 import importlib
 import json
 import math
@@ -79,3 +81,39 @@ def test_tracer_hooks_resolve(monkeypatch):
     hooks = [(module, attr) for module, attr, _ in tracing.TIMED + tracing.COUNTED]
     missing = [hook for hook in hooks if not hasattr(importlib.import_module(hook[0]), hook[1])]
     assert hooks and not missing
+
+
+def _glsae_imports(source: str) -> list[tuple[str, str | None]]:
+    """(module, name) of each glsae import in a module and in the code lines of its strings.
+
+    ``name`` is None for a plain ``import glsae.x``. String lines count because
+    the harness runs probe code such as ``from glsae.io import load_panel``.
+    """
+    tree = ast.parse(source)
+    trees = [tree]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for line in node.value.splitlines():
+                try:
+                    trees.append(ast.parse(line.strip()))
+                except SyntaxError:
+                    pass
+    found = []
+    for node in (n for t in trees for n in ast.walk(t)):
+        if isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "glsae":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "glsae"]
+    return found
+
+
+def test_benchmark_imports_resolve():
+    """Every glsae name the benchmark harness imports still exists."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    imports = {imp for path in sorted(perfbench.glob("*.py")) for imp in _glsae_imports(path.read_text("utf-8"))}
+    assert {("glsae.io", "load_panel"), ("glsae.io", "save_panel"), ("glsae.simgen", "generate")} <= imports
+    missing = [
+        (module, name) for module, name in sorted(imports, key=str)
+        if not hasattr(importlib.import_module(module), name or "__name__")
+    ]
+    assert not missing

@@ -11,7 +11,7 @@ import pytest
 
 from glsae.cli import main
 from glsae.io import PanelFormatError, fmt, load_panel, save_panel, read_table
-from glsae.runner import _sim_item, worker_count
+from glsae.runner import SimConfig, _sim_item, apply_preset, worker_count
 from glsae.summary import DRAW_BLOCK, kappa_weights
 
 
@@ -72,6 +72,37 @@ def test_load_panel_reports_malformed_line(tmp_path):
     path = tmp_path / "mal.csv"
     _write_panel(path, ["a,s1,0.2,0.01", "b,s1,zzz,0.01"])
     with pytest.raises(PanelFormatError, match="mal.csv:3"):
+        load_panel(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["a,s1,0.2,0.01", "b,s1,0.2,1e-170"], "sampling variance at (1, 0) must be > 0"),  # se**2 is 0
+    (["a,s1,0.2,1e200", "b,s1,0.2,0.01"], "sampling variance at (0, 0) must be > 0"),  # se**2 is inf
+    (["a,s1,0.2,0.01", "b,s1,0.2,1e-160"], "sampling variance at (1, 0) is below the smallest normal float"),
+    (["a,s1,0.2,0.01", "a,s2,0.3,0.01"], "need at least 2 areas, got 1"),
+], ids=["se_squares_to_0", "se_squares_to_inf", "se_squares_to_subnormal", "one_area"])
+def test_load_panel_refuses_an_invalid_panel_with_its_path(tmp_path, rows, message):
+    path = tmp_path / "inv.csv"
+    _write_panel(path, rows)
+    with pytest.raises(PanelFormatError) as err:
+        load_panel(path)
+    assert str(err.value) == f"{path}: invalid panel: {message}"
+
+
+def test_load_panel_skips_comment_and_whitespace_lines(tmp_path, panel_file):
+    lines = panel_file.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "commented.csv"
+    path.write_text("\n".join(["# a leading comment", lines[0], lines[1], "   ", "\t", *lines[2:]]) + "\n",
+                    encoding="utf-8")
+    panel, plain = load_panel(path), load_panel(panel_file)
+    assert panel.areas == plain.areas and panel.sources == plain.sources
+    assert np.array_equal(panel.y, plain.y) and np.array_equal(panel.v, plain.v)
+
+
+def test_load_panel_names_the_header_line_after_comments(tmp_path):
+    path = tmp_path / "hdr.csv"
+    path.write_text("# note\nid,source,estimate,se\na,s1,0.2,0.01\n", encoding="utf-8")
+    with pytest.raises(PanelFormatError, match="hdr.csv:2: header"):
         load_panel(path)
 
 
@@ -207,6 +238,20 @@ def test_fit_rejects_bad_input_before_writing(
         "--iters", "50", "--burnin", "10", "--seed", "1", "--out", str(out), *extra,
     ]) == 2
     assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_invalid_panel_is_refused_before_writing(tmp_path, capsys, command):
+    panel = tmp_path / "tiny.csv"
+    _write_panel(panel, ["a,s1,0.2,0.01", "b,s1,0.2,1e-170"])
+    out = tmp_path / "o"
+    if command == "fit":
+        argv = ["fit", "--panel", str(panel), "--model", "m12"]
+    else:
+        argv = ["simulate", "--case", "1", "--rows", "1", "--replicates", "1", "--v-panel", str(panel)]
+    assert main([*argv, "--iters", "50", "--burnin", "10", "--seed", "1", "--out", str(out)]) == 2
+    assert f"{panel}: invalid panel: sampling variance at (1, 0) must be > 0" in _one_error_line(capsys)
     assert not out.exists()
 
 
@@ -492,6 +537,37 @@ def test_simulate_wider_j_bootstrap_mode(tmp_path, monkeypatch, capsys):
     ]) == 2
     assert "bootstrap" in _one_error_line(capsys)
     assert not (tmp_path / "j4bad").exists()
+
+
+def test_simulate_fixed_v_panel_sets_the_area_count(tmp_path, monkeypatch, panel_file):
+    """A --v-panel of 8 areas makes 8-area replicates; it no longer has to have 62."""
+    import glsae.runner as runner
+
+    monkeypatch.setenv("GLSAE_WORKERS", "1")
+    n_areas = []
+    real = runner.generate
+
+    def recording(spec, rep, rng):
+        data = real(spec, rep, rng)
+        n_areas.append(data.panel.n_areas)
+        return data
+
+    monkeypatch.setattr(runner, "generate", recording)
+    out = tmp_path / "v8"
+    assert main([
+        "simulate", "--case", "1", "--rows", "1", "--replicates", "2", "--models", "m1a,m12",
+        "--iters", "60", "--burnin", "20", "--seed", "4", "--v-panel", str(panel_file), "--out", str(out),
+    ]) == 0
+    assert n_areas == [8, 8]
+    assert len(read_table(out / "case1_ratio_by_spec.csv")[1]) == 1
+
+
+def test_sim_config_defaults_are_the_desk_preset():
+    config = SimConfig(case=1, seed=1, out_dir="o")
+    desk = apply_preset("desk")
+    assert {name: getattr(config, name) for name in desk} == desk == {
+        "n_replicates": 30, "n_iter": 6000, "n_burnin": 1000,
+    }
 
 
 def _one_error_line(capsys) -> str:

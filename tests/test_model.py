@@ -9,7 +9,6 @@ from glsae.model import (
     VARIANT_TAGS,
     init_state,
     unit_state,
-    validate_panel,
     variant,
 )
 from glsae.rng import RngStream
@@ -41,25 +40,56 @@ def test_variant_rejects_unknown_tag():
         variant("m99")
 
 
-def test_validate_panel_ok_at_reference_size():
+def test_source_panel_accepts_reference_size():
     rng = np.random.default_rng(0)
     y = 0.25 + 0.02 * rng.standard_normal((62, 2))
     v = np.full((62, 2), 1e-3)
     panel = SourcePanel([f"c{i}" for i in range(62)], ["b", "s"], y, v)
-    assert validate_panel(panel).ok
+    assert panel.n_areas == 62 and panel.n_sources == 2
+    assert np.array_equal(panel.inv_v, 1.0 / v)
 
 
-def test_validate_panel_flags_zero_variance():
-    panel = SourcePanel(["a", "b"], ["s1", "s2"], [[0.2, 0.3], [0.25, 0.27]], [[0.01, 0.01], [0.01, 0.0]])
-    report = validate_panel(panel)
-    assert not report.ok
-    assert any(viol.code == "nonpositive_variance" and viol.where == (1, 1) for viol in report.violations)
+_Y = [[0.2, 0.3], [0.25, 0.27]]
+_V = [[0.01, 0.01], [0.01, 0.01]]
+
+# one broken invariant per case: (areas, sources, y, v, the message naming it)
+_BROKEN_PANELS = {
+    "y_not_2d": (["a", "b"], ["s1"], [0.2, 0.3], [0.01, 0.01], "y (2,) and v (2,) must be equal 2-d shapes"),
+    "unequal_shapes": (["a", "b"], ["s1", "s2"], _Y, [[0.01], [0.01]], "y (2, 2) and v (2, 1) must be equal 2-d shapes"),
+    "labels": (["a", "b", "c"], ["s1", "s2"], _Y, _V, "area/source labels do not match matrix dimensions"),
+    "single_area": (["only"], ["s1"], [[0.2]], [[0.01]], "need at least 2 areas, got 1"),
+    "no_source": (["a", "b"], [], np.empty((2, 0)), np.empty((2, 0)), "need at least 1 source"),
+    "duplicate_area": (["a", "a"], ["s1", "s2"], _Y, _V, "duplicate area ids"),
+    "duplicate_source": (["a", "b"], ["s1", "s1"], _Y, _V, "duplicate source ids"),
+    "nonfinite_estimate": (["a", "b"], ["s1", "s2"], [[0.2, 0.3], [np.nan, 0.27]], _V,
+                           "estimate at (1, 0) is not finite"),
+    "zero_variance": (["a", "b"], ["s1", "s2"], _Y, [[0.01, 0.01], [0.01, 0.0]],
+                      "sampling variance at (1, 1) must be > 0"),
+    "negative_variance": (["a", "b"], ["s1", "s2"], _Y, [[-0.01, 0.01], [0.01, 0.01]],
+                          "sampling variance at (0, 0) must be > 0"),
+    "nonfinite_variance": (["a", "b"], ["s1", "s2"], _Y, [[0.01, np.inf], [0.01, 0.01]],
+                           "sampling variance at (0, 1) must be > 0"),
+    "subnormal_variance": (["a", "b"], ["s1", "s2"], _Y, [[0.01, 0.01], [1e-320, 0.01]],
+                           "sampling variance at (1, 0) is below the smallest normal float"),
+}
 
 
-def test_validate_panel_flags_single_area():
-    panel = SourcePanel(["only"], ["s1"], [[0.2]], [[0.01]])
-    report = validate_panel(panel)
-    assert any(viol.code == "too_few_areas" for viol in report.violations)
+@pytest.mark.parametrize("case", sorted(_BROKEN_PANELS))
+def test_source_panel_refuses(case):
+    areas, sources, y, v, message = _BROKEN_PANELS[case]
+    with pytest.raises(ValueError) as err:
+        SourcePanel(areas, sources, y, v)
+    assert message in str(err.value)
+
+
+def test_source_panel_lists_every_problem_in_one_error():
+    with np.errstate(all="raise"):  # the check runs before 1/v, so no floating-point error escapes
+        with pytest.raises(ValueError) as err:
+            SourcePanel(["a", "a"], ["s1", "s2"], [[0.2, np.inf], [0.25, 0.27]], [[0.0, 0.01], [0.01, np.nan]])
+    assert str(err.value) == (
+        "duplicate area ids; estimate at (0, 1) is not finite; "
+        "sampling variance at (0, 0) must be > 0; sampling variance at (1, 1) must be > 0"
+    )
 
 
 def test_init_state_constant_data():
