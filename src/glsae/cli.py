@@ -13,7 +13,8 @@ from . import __version__
 from .diagnostics import DEFAULT_THRESHOLD, rhat_report
 from .io import load_value_csv, write_table
 from .metrics import score
-from .runner import FitConfig, SimConfig, apply_preset, run_fit, run_simulation
+from .gibbs import SamplerDivergence
+from .runner import PRESETS, FitConfig, SimConfig, run_fit, run_simulation
 
 
 def _parse_rows(text: str) -> tuple[int, ...]:
@@ -97,7 +98,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    preset = apply_preset(args.preset)
+    preset = PRESETS[args.preset]
     config = SimConfig(
         case=args.case,
         seed=args.seed,
@@ -154,7 +155,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one command; a configuration or input mistake prints one line and returns 2."""
+    """Run one command; an input mistake or a diverged chain prints one line and returns 2."""
     args = build_parser().parse_args(argv)
     handlers = {
         "fit": _cmd_fit,
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SamplerDivergence) as exc:
         print(f"glsae: error: {exc}", file=sys.stderr)
         return 2
 

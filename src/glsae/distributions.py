@@ -5,9 +5,9 @@ Parameterizations
 * Inverse gamma ``IG(shape, rate)`` has density proportional to
   ``x**(-1-shape) * exp(-rate/x)``.
 * Generalized inverse Gaussian ``GIG(order, chi, psi)`` has density
-  proportional to ``x**(order-1) * exp(-(chi/x + psi*x)/2)``; valid for
-  (chi > 0, psi > 0, any order), (chi = 0, psi > 0, order > 0) and
-  (chi > 0, psi = 0, order < 0).
+  proportional to ``x**(order-1) * exp(-(chi/x + psi*x)/2)``, for one
+  scalar order and chi > 0, psi > 0 (the lasso conditionals have psi = 2
+  and chi clamped above 0).
 * The heavy-tailed variance law used for shrinkage ("horseshoe") is the
   distribution of the square of a standard half-Cauchy variate. It admits
   the scale-mixture representation: if ``u | x ~ IG(1/2, 1/x)`` and
@@ -68,18 +68,13 @@ class GigParams:
     psi: float | np.ndarray
 
     def validate(self) -> None:
-        order, chi, psi = np.broadcast_arrays(
-            np.asarray(self.order, dtype=float),
-            np.asarray(self.chi, dtype=float),
-            np.asarray(self.psi, dtype=float),
-        )
-        if np.any(~np.isfinite(order)) or np.any(~np.isfinite(chi)) or np.any(~np.isfinite(psi)):
-            raise ValueError("GIG parameters must be finite")
-        if np.any(chi < 0) or np.any(psi < 0):
-            raise ValueError("GIG chi and psi must be nonnegative")
-        bad = ((chi == 0) & (psi == 0)) | ((chi == 0) & (order <= 0)) | ((psi == 0) & (order >= 0))
-        if np.any(bad):
-            raise ValueError("invalid GIG regime: need chi>0 for order<=0 and psi>0 for order>=0")
+        order = np.asarray(self.order, dtype=float)
+        chi = np.asarray(self.chi, dtype=float)
+        psi = np.asarray(self.psi, dtype=float)
+        if order.ndim or not np.isfinite(order):
+            raise ValueError("GIG order must be one finite scalar")
+        if np.any(~np.isfinite(chi)) or np.any(chi <= 0) or np.any(~np.isfinite(psi)) or np.any(psi <= 0):
+            raise ValueError("GIG chi and psi must be finite and > 0")
 
 
 def sample_normal(mean, variance, rng: RngStream):
@@ -252,39 +247,10 @@ def _gig_raw(order, chi, psi, gen):
 
 
 def sample_gig(p: GigParams, rng: RngStream):
-    """Draw from GIG(order, chi, psi), elementwise over broadcast parameters.
-
-    The limits are exact: chi = 0 reduces to Gamma(order, psi/2) and
-    psi = 0 to IG(-order, chi/2). Elements with chi > 0 and psi > 0 are
-    drawn by :func:`_gig_raw`, one group per distinct order.
-    """
+    """Draw from GIG(order, chi, psi), elementwise over broadcast chi and psi, by :func:`_gig_raw`."""
     p.validate()
-    gen = rng.generator
-    order, chi, psi = np.broadcast_arrays(
-        np.asarray(p.order, dtype=float),
-        np.asarray(p.chi, dtype=float),
-        np.asarray(p.psi, dtype=float),
-    )
-    scalar = order.ndim == 0
-    order = np.atleast_1d(order).astype(float)
-    chi = np.atleast_1d(chi).astype(float)
-    psi = np.atleast_1d(psi).astype(float)
-    out = np.empty(order.shape, dtype=float)
-
-    m_gamma = chi == 0.0
-    m_invg = psi == 0.0
-    m_both = ~m_gamma & ~m_invg
-
-    if np.any(m_gamma):
-        out[m_gamma] = gen.gamma(order[m_gamma], 2.0 / psi[m_gamma])
-    if np.any(m_invg):
-        out[m_invg] = _invgamma_raw(-order[m_invg], 0.5 * chi[m_invg], gen)
-    for o in np.unique(order[m_both]):
-        m = m_both & (order == o)
-        out[m] = _gig_raw(o, chi[m], psi[m], gen)
-
-    out = np.maximum(out, _FLOOR)
-    return float(out[0]) if scalar else out
+    out = _gig_raw(float(p.order), np.asarray(p.chi, dtype=float), np.asarray(p.psi, dtype=float), rng.generator)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def sample_halfcauchy_sq(rng: RngStream, size=None):

@@ -97,8 +97,6 @@ class SixNumber:
 class RatioSummary:
     """Discrepancy ratios of one model against a baseline over a grid."""
 
-    numerator: str
-    denominator: str
     ratios: dict[str, dict[int, float]]   # measure -> spec row -> ratio
     stats: dict[str, SixNumber]           # measure -> six-number summary
 
@@ -109,9 +107,6 @@ class RatioSummary:
 def discrepancy_ratio(
     model_scores: dict[int, FitScore],
     base_scores: dict[int, FitScore],
-    *,
-    numerator: str = "model",
-    denominator: str = "base",
 ) -> RatioSummary:
     """Per-row ratios of aggregated medians, plus their distribution stats.
 
@@ -130,7 +125,7 @@ def discrepancy_ratio(
                 raise MetricError(f"baseline {m} is zero on row {row}")
             ratios[m][row] = model_scores[row].get(m) / denom
     stats = {m: SixNumber.of(ratios[m].values()) for m in MEASURES}
-    return RatioSummary(numerator=numerator, denominator=denominator, ratios=ratios, stats=stats)
+    return RatioSummary(ratios=ratios, stats=stats)
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,6 @@ class ModelVariant:
         """Whether lam_ij exists as a sampled quantity."""
         return self.theta_variance_form in ("product", "source")
 
-    @cached_property
-    def updates_lambda_i(self) -> bool:
-        """lam_i is sampled for every variant except the unit form."""
-        return self.tag != "m12"
-
 
 def variant(tag: str) -> ModelVariant:
     """Variant factory accepting CLI spellings (``one-source`` == ``one_source``)."""
@@ -226,7 +221,7 @@ def unit_state(model: ModelVariant, n_areas: int, n_sources: int) -> ChainState:
         theta=np.zeros((I, J)) if theta_level else None,
         lambda_ij=np.ones((I, J)) if theta_level else None,
         xi_ij=np.ones((I, J)) if (horseshoe and model.has_local_ij) else None,
-        xi_i=np.ones(I) if (horseshoe and model.updates_lambda_i) else None,
+        xi_i=np.ones(I) if horseshoe else None,
         xi_tau1=1.0 if theta_level else None,
         xi_tau2=1.0,
     )

@@ -226,7 +226,7 @@ class CoordLayout:
         blocks.append(("eta", 1))
         if model.has_local_ij:
             blocks.append(("log_lambda_ij", I * J))
-        if model.updates_lambda_i:
+        if model.local_prior != "unit":
             blocks.append(("log_lambda_i", I))
         if model.has_theta_level:
             blocks.append(("log_tau1_sq", 1))

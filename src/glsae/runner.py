@@ -110,9 +110,12 @@ def _fit_panel_for(model, panel: SourcePanel, source: str | None) -> SourcePanel
     if source in panel.sources:
         return panel.select_source(panel.sources.index(source))
     try:
-        return panel.select_source(int(source))
-    except (ValueError, IndexError):
-        raise ValueError(f"unknown source {source!r}; panel has {panel.sources}") from None
+        index = int(source)
+    except ValueError:
+        index = None
+    if index not in range(panel.n_sources):
+        raise ValueError(f"unknown source {source!r}; panel has {panel.sources}")
+    return panel.select_source(index)
 
 
 def _save_draws(draws: dict[str, np.ndarray], settings: SamplerSettings, model: ModelVariant,
@@ -233,6 +236,8 @@ def run_fit(config: FitConfig) -> dict:
     model is sampled at a time, and its draws are released before the
     next one samples.
     """
+    if not config.models:
+        raise ValueError("no model to fit")
     if not 0.0 < config.level < 1.0:
         raise ValueError("level must be in (0, 1)")
     panel = load_panel(config.panel_path)
@@ -294,7 +299,8 @@ def parse_target(name: str) -> SimTarget:
     return SimTarget(name=lowered, tag=lowered)
 
 
-# Simulation scales; SimConfig's defaults are the desk preset.
+# Simulation scales: `desk` finishes in minutes, `paper` is full scale;
+# SimConfig's defaults are the desk preset.
 PRESETS = {
     "desk": {"n_replicates": 30, "n_iter": 6000, "n_burnin": 1000},
     "paper": {"n_replicates": 100, "n_iter": 18000, "n_burnin": 3000},
@@ -344,13 +350,6 @@ class SimConfig:
             "spec_file_sha256": sha256_file(self.spec_file) if self.spec_file else None,
             "delta_scope": self.delta_scope,
         }
-
-
-def apply_preset(name: str) -> dict:
-    """Sampler scale presets: `desk` finishes in minutes, `paper` is full scale."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}")
-    return dict(PRESETS[name])
 
 
 def _sim_item(args) -> tuple[int, int, dict[str, dict]]:
@@ -418,6 +417,8 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
         workers = worker_count()
     if config.n_replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {config.n_replicates}")
+    if config.n_sources < 1:
+        raise ValueError(f"sources must be >= 1, got {config.n_sources}")
     # every replicate fit: a single chain monitoring mu
     settings = SamplerSettings(seed=config.seed, n_iter=config.n_iter, n_burnin=config.n_burnin,
                                monitor=frozenset({"mu"}))
@@ -512,7 +513,7 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
             agg[name][spec.row] = aggregate(reps)
 
     ratios = {
-        name: discrepancy_ratio(agg[name], agg[base_name], numerator=name, denominator=base_name)
+        name: discrepancy_ratio(agg[name], agg[base_name])
         for name in names
         if name != base_name
     }

@@ -7,7 +7,7 @@ Cases 1-4 draw, per replicate,
 
 where each variance g2 follows either the outlier law (delta * t11^2 with
 delta ~ Bernoulli(p)) or the mixture law (delta * t21^2 + (1-delta) *
-t22^2, t22 = 0.05 by default). Case 1 is outlier/outlier, case 2 mixture
+t22^2, t22 = 0.05). Case 1 is outlier/outlier, case 2 mixture
 (mu) with outlier (th), case 3 mixture/mixture, case 4 outlier (mu) with
 mixture (th). Scales in the spec grids are standard deviations and are
 squared here.
@@ -42,6 +42,7 @@ from .rng import RngStream
 
 SYNTHETIC_POOL_SEED = 20100
 MIXTURE_SMALL_SCALE = 0.05
+OVERALL_MEAN = 0.25  # eta of every generated panel
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,13 @@ class LevelSpec:
     p: float = 0.0
     tau11: float = 0.0
     tau21: float = 0.0
-    tau22: float = MIXTURE_SMALL_SCALE
 
     def __post_init__(self):
         if self.kind not in ("outlier", "mixture"):
             raise ValueError(f"unknown level kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("probability must be in [0, 1]")
-        if min(self.tau11, self.tau21, self.tau22) < 0:
+        if min(self.tau11, self.tau21) < 0:
             raise ValueError("scales must be nonnegative")
 
     def draw_variance(self, size, gen) -> tuple[np.ndarray, np.ndarray]:
@@ -67,7 +67,7 @@ class LevelSpec:
         delta = (gen.random(size) < self.p).astype(np.int64)
         if self.kind == "outlier":
             return delta * self.tau11**2, delta
-        return delta * self.tau21**2 + (1 - delta) * self.tau22**2, delta
+        return delta * self.tau21**2 + (1 - delta) * MIXTURE_SMALL_SCALE**2, delta
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ class SimSpec:
     row: int
     theta_level: LevelSpec | None
     mu_level: LevelSpec | None
-    eta: float = 0.25
     n_areas: int = 62
     n_sources: int = 2
     case5: Case5Params | None = None
@@ -154,7 +153,7 @@ def generate(spec: SimSpec, replicate_id: int, rng: RngStream) -> SimPanel:
     if spec.case_id in (5, 6):
         c5 = spec.case5
         p = 1.0 if spec.case_id == 6 else c5.p
-        mu = spec.eta + gen.normal(0.0, c5.tau, size=I)
+        mu = OVERALL_MEAN + gen.normal(0.0, c5.tau, size=I)
         delta = (gen.random(I) < p).astype(np.int64)
         theta = np.empty((I, 2))
         theta[:, 0] = mu + c5.tau1 * gen.standard_normal(I)
@@ -167,7 +166,7 @@ def generate(spec: SimSpec, replicate_id: int, rng: RngStream) -> SimPanel:
         g2_th, d_th = spec.theta_level.draw_variance(th_size, gen)
         g2_mu = np.broadcast_to(g2_mu, (I,))
         g2_th = np.broadcast_to(g2_th, (I, J))
-        mu = spec.eta + np.sqrt(g2_mu) * gen.standard_normal(I)
+        mu = OVERALL_MEAN + np.sqrt(g2_mu) * gen.standard_normal(I)
         theta = mu[:, None] + np.sqrt(g2_th) * gen.standard_normal((I, J))
         flags = {"mu": np.broadcast_to(d_mu, (I,)).copy(), "theta": np.broadcast_to(d_th, (I, J)).copy()}
 

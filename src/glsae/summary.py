@@ -259,7 +259,8 @@ def phi_draws(
     """phi = A / (A + h2) for a batch of draws, bit-identical to ``decompose(...).phi``.
 
     Takes the arguments of :func:`decompose` (``tau1_sq`` is ignored
-    without a th level) but forms only phi. The draws are worked in blocks
+    without a th level), each carrying every leading draw axis, but forms
+    only phi. The draws are worked in blocks
     of at most :data:`DRAW_BLOCK` along their flattened leading axes. Each
     block's (block, I, J) work runs in one buffer, overwritten in place
     from a to v + a to 1/s2 before the sum over sources; its h2 and
@@ -269,20 +270,15 @@ def phi_draws(
     A = lambda_i * np.asarray(tau2_sq, dtype=float)[..., None]
     v = panel.v
     I, J = v.shape
-    lead = A.shape[:-1]
-
-    def rows(x, tail):
-        # one row per draw; a view when x already has every leading axis
-        return np.broadcast_to(x, lead + tail).reshape((-1,) + tail)
-
     phi = A.reshape(-1, I)
     n = len(phi)
     den = np.empty((min(n, DRAW_BLOCK), I))
     if model.has_theta_level:
-        lambda_i = rows(lambda_i, (I,))
+        # one row per draw
+        lambda_i = lambda_i.reshape(-1, I)
         if lambda_ij is not None:
-            lambda_ij = rows(np.asarray(lambda_ij, dtype=float), (I, J))
-        tau1_sq = rows(np.asarray(tau1_sq, dtype=float), ())
+            lambda_ij = np.asarray(lambda_ij, dtype=float).reshape(-1, I, J)
+        tau1_sq = np.asarray(tau1_sq, dtype=float).reshape(-1)
         s2 = np.empty(den.shape + (J,))
     for start in range(0, n, DRAW_BLOCK):
         block = slice(start, start + DRAW_BLOCK)
@@ -321,7 +317,6 @@ class QuantitySummary:
     sd: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    level: float
 
 
 def _pooled(draws: np.ndarray) -> np.ndarray:
@@ -343,7 +338,6 @@ def summarize(draws: np.ndarray, level: float = 0.95) -> QuantitySummary:
         sd=draws.std(axis=0, ddof=1),
         lower=lo,
         upper=hi,
-        level=level,
     )
 
 

@@ -35,7 +35,7 @@ def random_positive_state(panel, model, gen):
         theta=gen.normal(0.25, 0.05, size=(I, J)) if model.has_theta_level else None,
         lambda_ij=(np.ones((I, J)) if unit else np.exp(gen.normal(0.0, 1.0, size=(I, J)))) if model.has_theta_level else None,
         xi_ij=np.exp(gen.normal(0.0, 0.5, size=(I, J))) if (horseshoe and model.has_local_ij) else None,
-        xi_i=np.exp(gen.normal(0.0, 0.5, size=I)) if (horseshoe and model.updates_lambda_i) else None,
+        xi_i=np.exp(gen.normal(0.0, 0.5, size=I)) if horseshoe else None,
         xi_tau1=float(np.exp(gen.normal(0.0, 0.5))) if model.has_theta_level else None,
         xi_tau2=float(np.exp(gen.normal(0.0, 0.5))),
     )

@@ -11,7 +11,7 @@ import pytest
 
 from glsae.cli import main
 from glsae.io import PanelFormatError, fmt, load_panel, save_panel, read_table
-from glsae.runner import SimConfig, _sim_item, apply_preset, worker_count
+from glsae.runner import PRESETS, SimConfig, _sim_item, worker_count
 from glsae.summary import DRAW_BLOCK, kappa_weights
 
 
@@ -222,6 +222,9 @@ _FIT_REFUSALS = [
      "split-R-hat needs at least 4 kept draws per chain, got 3"),
     (None, "m12", ["--iters", "30", "--burnin", "10", "--thin", "50"],
      "a posterior sd needs at least 2 kept draws per chain, got 1"),
+    (None, "", [], "no model to fit"),
+    (None, ",", [], "no model to fit"),
+    (None, "one-source", ["--source", "-1"], "unknown source '-1'; panel has ('brfss', 'sahie')"),
 ]
 
 
@@ -253,6 +256,21 @@ def test_invalid_panel_is_refused_before_writing(tmp_path, capsys, command):
     assert main([*argv, "--iters", "50", "--burnin", "10", "--seed", "1", "--out", str(out)]) == 2
     assert f"{panel}: invalid panel: sampling variance at (1, 0) must be > 0" in _one_error_line(capsys)
     assert not out.exists()
+
+
+def test_sampler_divergence_is_reported_in_one_line(tmp_path, panel_file, capsys, monkeypatch):
+    import glsae.runner as runner
+    from glsae.gibbs import SamplerDivergence
+
+    def diverges(*args, **kwargs):
+        raise SamplerDivergence("non-finite theta at coordinate (0, 0) on iteration 0")
+
+    monkeypatch.setattr(runner, "run_chains", diverges)
+    assert main([
+        "fit", "--panel", str(panel_file), "--model", "m12",
+        "--iters", "50", "--burnin", "10", "--seed", "1", "--out", str(tmp_path / "o"),
+    ]) == 2
+    assert _one_error_line(capsys) == "glsae: error: non-finite theta at coordinate (0, 0) on iteration 0"
 
 
 def test_diagnose_reports_missing_draws_in_one_line(tmp_path, capsys):
@@ -564,7 +582,7 @@ def test_simulate_fixed_v_panel_sets_the_area_count(tmp_path, monkeypatch, panel
 
 def test_sim_config_defaults_are_the_desk_preset():
     config = SimConfig(case=1, seed=1, out_dir="o")
-    desk = apply_preset("desk")
+    desk = PRESETS["desk"]
     assert {name: getattr(config, name) for name in desk} == desk == {
         "n_replicates": 30, "n_iter": 6000, "n_burnin": 1000,
     }
@@ -616,6 +634,7 @@ def test_simulate_rejects_rows_outside_the_grid_before_writing(tmp_path, capsys,
     (["--iters", "10", "--burnin", "20"], "need 0 <= n_burnin < n_iter"),
     (["--sources", "1", "--bootstrap-v", "--models", "m1a,msa", "--baseline", "m1a"],
      "model 'msa' fits source column 1, but the panels have 1 source(s)"),
+    (["--sources", "0", "--bootstrap-v"], "sources must be >= 1, got 0"),
 ])
 def test_simulate_rejects_bad_settings_before_writing(tmp_path, monkeypatch, capsys, extra, message):
     monkeypatch.setenv("GLSAE_WORKERS", "2")

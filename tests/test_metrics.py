@@ -76,13 +76,12 @@ def test_discrepancy_ratio_identity_and_errors():
 def test_discrepancy_ratio_stats():
     model = {r: FitScore(0.1 * r, 0.1, 0.1, 0.1) for r in range(1, 5)}
     base = {r: FitScore(0.2, 0.1, 0.1, 0.1) for r in range(1, 5)}
-    rs = discrepancy_ratio(model, base, numerator="m1a", denominator="m12")
+    rs = discrepancy_ratio(model, base)
     assert rs.ratio("arb", 1) == pytest.approx(0.5)
     assert rs.stats["arb"].minimum == pytest.approx(0.5)
     assert rs.stats["arb"].maximum == pytest.approx(2.0)
     assert rs.stats["arb"].median == pytest.approx(1.25)
     assert rs.stats["arb"].mean == pytest.approx(1.25)
-    assert rs.numerator == "m1a" and rs.denominator == "m12"
 
 
 def test_best_model_counts_dominance_and_ties():
