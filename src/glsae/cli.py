@@ -21,11 +21,14 @@ def _parse_rows(text: str) -> tuple[int, ...]:
     rows: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            rows.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            rows.append(int(part))
+        try:
+            if "-" in part:
+                lo, hi = part.split("-", 1)
+                rows.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                rows.append(int(part))
+        except ValueError:
+            raise ValueError(f"--rows: {part!r} is not a row number or a range such as 1-6") from None
     return tuple(sorted(set(rows)))
 
 

@@ -102,7 +102,16 @@ def _invgamma_raw(shape, rate, gen):
         # a zero gamma draw gives inf, as numpy's division would
         return max(rate / g, _FLOOR) if g else math.inf
     size = getattr(rate, "shape", None) or getattr(shape, "shape", None) or None
-    return np.maximum(rate / gen.standard_gamma(shape, size), _FLOOR_0D)
+    return _invgamma_of(rate, gen.standard_gamma(shape, size))
+
+
+def _invgamma_of(rate, gamma, out=None):
+    """IG(shape, rate) draws from their standard gamma(shape) variates ``gamma``.
+
+    The quotient rate / gamma goes into ``out`` when given (it may be
+    ``gamma``); the floored draws are a fresh array.
+    """
+    return np.maximum(np.divide(rate, gamma, out=out), _FLOOR_0D)
 
 
 def sample_inverse_gamma(p: InverseGammaParams, rng: RngStream):
@@ -115,35 +124,35 @@ def sample_inverse_gamma(p: InverseGammaParams, rng: RngStream):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _wald_stable(mean, scale, gen):
+def _wald_stable(mean, scale, nu, u):
     """Inverse-Gaussian draws by root selection, stable at extreme means.
 
+    ``nu`` and ``u`` hold one standard normal and one uniform per draw.
     The textbook arrangement mean*(1 + w - sqrt(w^2 + 2w)) cancels
-    catastrophically when w = mean*nu/(2*scale) is large (it returns an
+    catastrophically when w = mean*nu^2/(2*scale) is large (it returns an
     exact 0, whose reciprocal blows up the order-1/2 GIG path); the
     rationalized form mean/(1 + w + sqrt(w^2 + 2w)) is identical algebra
     without the subtraction. Both callers pass a ``scale`` that broadcasts
     to ``mean``, so the draws take the shape of ``mean``.
     """
-    size = np.shape(mean) or None
-    nu = gen.standard_normal(size)
     nu = nu * nu
     w = mean * nu / (2.0 * scale)
     small = mean / (1.0 + w + np.sqrt(w * (w + 2.0)))
-    u = gen.random(size)
     # accept the small root with prob mean/(mean+small), else the conjugate root
     return np.where(u * (mean + small) <= mean, small, mean * mean / small)
 
 
-def _gig_pos_half(chi, psi, gen):
-    # GIG(+1/2, chi, psi) is the reciprocal of GIG(-1/2, psi, chi),
-    # i.e. 1 / InverseGaussian(mean=sqrt(psi/chi), scale=psi).
-    return 1.0 / np.maximum(_wald_stable(np.sqrt(psi / chi), psi, gen), _FLOOR)
+def _gig_half(order, chi, psi, nu, u):
+    """GIG(+-1/2, chi, psi) draws from the standard normals ``nu`` and uniforms ``u``, one of each per draw.
 
-
-def _gig_neg_half(chi, psi, gen):
-    # GIG(-1/2, chi, psi) is InverseGaussian(mean=sqrt(chi/psi), scale=chi).
-    return _wald_stable(np.sqrt(chi / psi), chi, gen)
+    GIG(-1/2, chi, psi) is InverseGaussian(mean=sqrt(chi/psi), scale=chi),
+    and GIG(+1/2, chi, psi) is its reciprocal with chi and psi swapped.
+    """
+    if order > 0:
+        out = 1.0 / np.maximum(_wald_stable(np.sqrt(psi / chi), psi, nu, u), _FLOOR)
+    else:
+        out = _wald_stable(np.sqrt(chi / psi), chi, nu, u)
+    return np.maximum(out, _FLOOR)
 
 
 def _devroye_log_kernel(z, alpha, lam):
@@ -227,10 +236,11 @@ def _gig_raw(order, chi, psi, gen):
     large (a narrow peak). Negative orders use X = 1 / GIG(-order, psi,
     chi). Callers guarantee chi > 0 and psi > 0.
     """
-    if order == 0.5:
-        return np.maximum(_gig_pos_half(chi, psi, gen), _FLOOR)
-    if order == -0.5:
-        return np.maximum(_gig_neg_half(chi, psi, gen), _FLOOR)
+    if abs(order) == 0.5:
+        # the Wald path draws every normal, then every uniform
+        size = np.broadcast(chi, psi).shape or None
+        nu = gen.standard_normal(size)
+        return _gig_half(order, chi, psi, nu, gen.random(size))
     chi, psi = np.broadcast_arrays(np.asarray(chi, dtype=float), np.asarray(psi, dtype=float))
     omega = (np.sqrt(chi) * np.sqrt(psi)).reshape(-1)  # chi * psi may underflow
     root = np.hypot(omega, abs(order))

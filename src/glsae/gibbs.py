@@ -50,13 +50,24 @@ square in the joint and are confirmed against the brute-force oracle.
 
 Draw order of one sweep (a variant skips the quantities it lacks):
 
-    eta, mu, th                                   the Gaussian block
-    r and d, formed once                          no variance draw moves th, mu or eta
-    lam_ij, xi_ij, lam_i, xi_i                    local variances
-    tau1_sq, xi_tau1, tau2_sq, xi_tau2            global variances, as Python floats
+    eta, mu, th                          the Gaussian block, from one standard_normal
+                                         fill of 1 + I + IJ
+    r and d, formed once                 no variance draw moves th, mu or eta
+    lam_ij, xi_ij, lam_i, xi_i           local variances. A horseshoe variant draws its
+                                         run of unit-shape gammas in one standard_gamma
+                                         fill: lam_ij, xi_ij, lam_i and xi_i (m1a, 2IJ + 2I),
+                                         lam_ij and xi_ij (m11a, 2IJ; its lam_i, of shape
+                                         (J + 2)/2, and xi_i follow) or lam_i and xi_i
+                                         (one-source, 2I). A lasso draw takes its normals,
+                                         then its uniforms; m1b draws lam_ij's, then
+                                         lam_i's, and forms both in one pass.
+    tau1_sq, xi_tau1, tau2_sq, xi_tau2   global variances, one scalar draw each, as
+                                         Python floats
 
-Each line consumes the chain's stream in that order, and every output
-file is pinned to it (``tests/test_golden.py``).
+A fill of n values consumes the stream exactly as consecutive draws of
+the same law totalling n, so the order above is the order of the
+variates, and every output file is pinned to it (``tests/test_golden.py``).
+Each sweep works in a :class:`_Workspace` of preallocated temporaries.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ import math
 import numpy as np
 
 from . import summary as _summary
-from .distributions import GigParams, InverseGammaParams, _gig_raw, _invgamma_raw
+from .distributions import GigParams, InverseGammaParams, _gig_half, _gig_raw, _invgamma_of, _invgamma_raw
 from .model import ChainState, ModelVariant, SamplerSettings, SourcePanel, init_state, unit_state
 from .rng import RngStream
 
@@ -79,33 +90,109 @@ class SamplerDivergence(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# sweep workspace
+
+
+class _Workspace:
+    """The temporaries of one sweep at one (variant, I, J).
+
+    Every buffer is written before it is read within a sweep, so nothing
+    carries from one sweep, or one chain, to the next, and the final op of
+    each draw allocates the state field it sets: no state field is ever one
+    of these buffers. The Gaussian block's standard normals (``z``) and a
+    horseshoe variant's run of unit-shape gamma variates (``unit_gammas``)
+    are each drawn by one fill, laid out in stream order.
+    """
+
+    def __init__(self, model: ModelVariant, I: int, J: int):
+        theta = model.has_theta_level
+        n = I * J if theta else 0
+        self.z = np.empty(1 + I + n)  # eta, then mu, then th
+        self.z_mu = self.z[1 : 1 + I]
+        self.z_th = self.z[1 + I :].reshape(I, J) if theta else None
+        # summary.collapse's (a, s2, w, h2, ybar, A)
+        self.collapsed = (np.empty((I, J)), np.empty((I, J)), np.empty((I, J)), np.empty(I), np.empty(I), np.empty(I))
+        self.mean_i, self.var_i, self.t_i, self.s_i = (np.empty(I) for _ in range(4))
+        self.mean_ij, self.var_ij, self.t_ij = (np.empty((I, J)) for _ in range(3))
+        self.r = np.empty((I, J)) if theta else None
+        self.d = np.empty(I)
+        # the local forms' q, lam_ij's cells then lam_i's, and m1b's Wald
+        # normals and uniforms in the same layout
+        self.q, self.q_ij, self.q_i = _cells(I, J)
+        self.nu, self.nu_ij, self.nu_i = _cells(I, J)
+        self.u, self.u_ij, self.u_i = _cells(I, J)
+        # The horseshoe's unit-shape gammas, in stream order: those of lam_ij
+        # and xi_ij, then those of lam_i and xi_i unless the product form's
+        # lam_i (gamma shape (J + 2) / 2) breaks the run.
+        horseshoe = model.local_prior == "horseshoe"
+        n_ij = n if horseshoe and model.has_local_ij else 0
+        apart = model.theta_variance_form == "product"
+        self.unit_gammas = np.empty(2 * n_ij + (0 if apart or not horseshoe else 2 * I))
+        g = self.unit_gammas
+        self.g_ij, self.gx_ij = g[:n_ij].reshape(I, -1), g[n_ij : 2 * n_ij].reshape(I, -1)
+        self.g_i, self.gx_i = (np.empty(I), np.empty(I)) if apart else (g[2 * n_ij : 2 * n_ij + I], g[2 * n_ij + I :])
+
+
+def _cells(I: int, J: int) -> tuple:
+    """One (IJ + I,) buffer and its (I, J) and (I,) views, in that order."""
+    buf = np.empty(I * J + I)
+    return buf, buf[: I * J].reshape(I, J), buf[I * J :]
+
+
+# One workspace per (variant, I, J) and process; chains and sweeps run one
+# at a time in a process, and each sweep rewrites what it reads.
+_WORKSPACES: dict[tuple[str, int, int], _Workspace] = {}
+
+
+def _workspace(model: ModelVariant, I: int, J: int) -> _Workspace:
+    key = (model.tag, I, J)
+    ws = _WORKSPACES.get(key)
+    if ws is None:
+        ws = _WORKSPACES[key] = _Workspace(model, I, J)
+    return ws
+
+
+# ---------------------------------------------------------------------------
 # conditional parameters
 #
 # The sweep's reductions call np.add.reduce, which is what ndarray.sum runs
 # without its Python-level wrapper, and np.reciprocal(x) is 1.0 / x to the
-# bit without converting the Python 1.0, so both keep the draws' bits.
+# bit without converting the Python 1.0, so both keep the draws' bits. Each
+# function below writes its array results into the buffers it is given (the
+# sweep's workspace); without them, as from the ``*_conditional`` wrappers,
+# numpy allocates fresh ones. A ufunc gives the same bits either way.
 
 
-def _collapsed(state: ChainState, panel: SourcePanel, model: ModelVariant) -> tuple:
-    return _summary.collapse(panel, model, state.lambda_ij, state.lambda_i, state.tau1_sq, state.tau2_sq)
+def _collapsed(state: ChainState, panel: SourcePanel, model: ModelVariant, out=None) -> tuple:
+    return _summary.collapse(
+        panel, model, state.lambda_ij, state.lambda_i, state.tau1_sq, state.tau2_sq, out=out
+    )
 
 
-def _eta_moments(h2, ybar, A) -> tuple[float, float]:
-    w = np.reciprocal(A + h2)
+def _eta_moments(h2, ybar, A, w=None) -> tuple[float, float]:
+    w = np.add(A, h2, out=w)
+    np.reciprocal(w, out=w)
     wsum = np.add.reduce(w, None)  # numpy scalars: a zero sum gives inf, not ZeroDivisionError
-    return float(np.add.reduce(w * ybar, None) / wsum), float(1.0 / wsum)
+    return float(np.add.reduce(np.multiply(w, ybar, out=w), None) / wsum), float(1.0 / wsum)
 
 
-def _mu_moments(h2, ybar, A, eta: float):
-    prec = np.reciprocal(h2) + np.reciprocal(A)
-    mean = (ybar / h2 + eta / A) / prec
-    return mean, np.reciprocal(prec)
+def _mu_moments(h2, ybar, A, eta: float, mean=None, var=None, t=None):
+    prec = np.reciprocal(h2, out=var)
+    t = np.reciprocal(A, out=t)
+    np.add(prec, t, out=prec)
+    mean = np.divide(ybar, h2, out=mean)
+    np.add(mean, np.divide(eta, A, out=t), out=mean)
+    np.divide(mean, prec, out=mean)
+    return mean, np.reciprocal(prec, out=prec)
 
 
-def _theta_moments(a, mu: np.ndarray, panel: SourcePanel):
-    prec = panel.inv_v + np.reciprocal(a)
-    mean = (panel.y_over_v + mu[:, None] / a) / prec
-    return mean, np.reciprocal(prec)
+def _theta_moments(a, mu: np.ndarray, panel: SourcePanel, mean=None, var=None):
+    prec = np.reciprocal(a, out=var)
+    np.add(panel.inv_v, prec, out=prec)
+    mean = np.divide(mu[:, None], a, out=mean)
+    np.add(panel.y_over_v, mean, out=mean)
+    np.divide(mean, prec, out=mean)
+    return mean, np.reciprocal(prec, out=prec)
 
 
 def eta_collapsed_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
@@ -131,58 +218,72 @@ def theta_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant
     return _theta_moments(_collapsed(state, panel, model)[0], state.mu, panel)
 
 
-def _residuals(state: ChainState, model: ModelVariant):
+def _residuals(state: ChainState, model: ModelVariant, r=None, d=None):
     """Squared th-level residuals r (None without a th level) and mu-level residuals d."""
-    r = (state.theta - state.mu[:, None]) ** 2 if model.has_theta_level else None
-    return r, (state.mu - state.eta) ** 2
+    if model.has_theta_level:
+        r = np.subtract(state.theta, state.mu[:, None], out=r)
+        np.square(r, out=r)
+    else:
+        r = None
+    d = np.subtract(state.mu, state.eta, out=d)
+    return r, np.square(d, out=d)
 
 
 # Each form returns (n, q): the number of normal terms the variance scales
-# and their quadratic form with the variance itself factored out. The
-# global forms return q as a float.
+# and their quadratic form with the variance itself factored out, in
+# ``out`` when given (``t`` and ``u`` are scratch). The global forms return
+# q as a float.
 
 
-def _lambda_ij_form(state: ChainState, model: ModelVariant, r):
+def _lambda_ij_form(state: ChainState, model: ModelVariant, r, out=None, t=None):
     if model.theta_variance_form == "product":
-        return 1, r / (state.lambda_i[:, None] * state.tau1_sq)
-    return 1, r / state.tau1_sq
+        scale = np.multiply(state.lambda_i, state.tau1_sq, out=t)
+        return 1, np.divide(r, scale[:, None], out=out)
+    return 1, np.divide(r, state.tau1_sq, out=out)
 
 
-def _lambda_i_form(state: ChainState, panel: SourcePanel, model: ModelVariant, r, d):
-    q = d / state.tau2_sq
+def _lambda_i_form(state: ChainState, panel: SourcePanel, model: ModelVariant, r, d, out=None, t=None, u=None):
+    q = np.divide(d, state.tau2_sq, out=out)
     if model.theta_variance_form == "product":
-        return panel.n_sources + 1, np.add.reduce(r / (state.lambda_ij * state.tau1_sq), 1) + q
+        t = np.multiply(state.lambda_ij, state.tau1_sq, out=t)
+        np.divide(r, t, out=t)
+        return panel.n_sources + 1, np.add(np.add.reduce(t, 1, out=u), q, out=q)
     # lam_i enters only the mu level (source form and one-source)
     return 1, q
 
 
-def _tau1_form(state: ChainState, model: ModelVariant, r):
+def _tau1_form(state: ChainState, model: ModelVariant, r, t=None):
     form = model.theta_variance_form
     if form == "product":
-        r = r / (state.lambda_ij * state.lambda_i[:, None])
+        r = np.divide(r, np.multiply(state.lambda_ij, state.lambda_i[:, None], out=t), out=t)
     elif form == "source":
-        r = r / state.lambda_ij
+        r = np.divide(r, state.lambda_ij, out=t)
     # the unit form's u is 1
     return r.size, float(np.add.reduce(r, None))
 
 
-def _tau2_form(state: ChainState, d):
-    return d.size, float(np.add.reduce(d / state.lambda_i, None))
+def _tau2_form(state: ChainState, d, t=None):
+    return d.size, float(np.add.reduce(np.divide(d, state.lambda_i, out=t), None))
 
 
-def _ig_law(n, q, xi):
-    """Shape and rate of a horseshoe variance's IG conditional."""
-    return n / 2.0 + 0.5, q / 2.0 + 1.0 / xi
+def _ig_law(n, q, xi, out=None, t=None):
+    """Shape and rate of a horseshoe variance's IG conditional; an array rate forms in ``out``."""
+    if type(q) is float:
+        return n / 2.0 + 0.5, q / 2.0 + 1.0 / xi
+    rate = np.divide(q, 2.0, out=out)
+    return n / 2.0 + 0.5, np.add(rate, np.reciprocal(xi, out=t), out=out)
 
 
-def _gig_law(n, q):
+def _gig_law(n, q, out=None):
     """Order and chi of a lasso variance's GIG conditional; psi is 2."""
-    return 1.0 - n / 2.0, np.maximum(q, _CHI_CLAMP_0D)
+    return 1.0 - n / 2.0, np.maximum(q, _CHI_CLAMP_0D, out=out)
 
 
-def _xi_rate(lam):
+def _xi_rate(lam, out=None):
     """Rate of the mixing variable's IG(1, rate) conditional."""
-    return 1.0 + 1.0 / lam
+    if type(lam) is float:
+        return 1.0 + 1.0 / lam
+    return np.add(np.reciprocal(lam, out=out), 1.0, out=out)
 
 
 def _law(prior: str, n, q, xi):
@@ -194,14 +295,21 @@ def _law(prior: str, n, q, xi):
     return InverseGammaParams(shape=shape, rate=rate)
 
 
-def _draw(prior: str, n, q, xi, gen):
-    """Draw a variance from its law; returns (draw, renewed xi or None for lasso)."""
-    if prior == "lasso":
-        order, chi = _gig_law(n, q)
-        return _gig_raw(order, chi, 2.0, gen), None
+def _global_draw(n, q: float, xi: float, gen) -> tuple[float, float]:
+    """A global variance from its horseshoe law, then its renewed xi, as Python floats."""
     shape, rate = _ig_law(n, q, xi)
     draw = _invgamma_raw(shape, rate, gen)
     return draw, _invgamma_raw(1.0, _xi_rate(draw), gen)
+
+
+def _horseshoe_pair(rate, g, g_xi, t):
+    """A local horseshoe variance and its renewed xi from their gamma variates g and g_xi.
+
+    ``rate`` is the variance's IG rate; g, g_xi and the scratch t are
+    overwritten, and only the two draws are fresh arrays.
+    """
+    draw = _invgamma_of(rate, g, out=g)
+    return draw, _invgamma_of(_xi_rate(draw, out=t), g_xi, out=g_xi)
 
 
 def lambda_ij_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
@@ -235,43 +343,90 @@ def xi_conditional(lam) -> InverseGammaParams:
 # in-place updates; each takes the chain's numpy Generator
 
 
-def update_gaussian_block(state: ChainState, panel: SourcePanel, model: ModelVariant, gen) -> None:
+def _normal_draw(mean, var, z):
+    """mean + sqrt(var) * z, worked in ``var``; the sum is the one fresh array."""
+    np.sqrt(var, out=var)
+    return np.add(mean, np.multiply(var, z, out=var))
+
+
+def update_gaussian_block(state: ChainState, panel: SourcePanel, model: ModelVariant, gen, ws=None) -> None:
     """Draw eta, then mu given eta, then th given mu, from one set of collapsed pieces.
 
     None of the three draws changes a variance, so the pieces computed
-    once at the top serve all of them.
+    once at the top serve all of them, and one fill draws their standard
+    normals in the order eta, mu, th. ``ws`` is the sweep's
+    :class:`_Workspace`, looked up when not given.
     """
-    a, _, h2, ybar, A = _collapsed(state, panel, model)
-    mean, var = _eta_moments(h2, ybar, A)
-    state.eta = eta = mean + math.sqrt(var) * gen.standard_normal()
-    mean, var = _mu_moments(h2, ybar, A, eta)
-    state.mu = mu = mean + np.sqrt(var) * gen.standard_normal(mean.shape)
+    if ws is None:
+        ws = _workspace(model, *panel.y.shape)
+    a, _, h2, ybar, A = _collapsed(state, panel, model, ws.collapsed)
+    z = gen.standard_normal(out=ws.z)
+    mean, var = _eta_moments(h2, ybar, A, ws.t_i)
+    state.eta = eta = mean + math.sqrt(var) * z.item(0)
+    mean, var = _mu_moments(h2, ybar, A, eta, ws.mean_i, ws.var_i, ws.t_i)
+    state.mu = mu = _normal_draw(mean, var, ws.z_mu)
     if a is not None:
-        mean, var = _theta_moments(a, mu, panel)
-        state.theta = mean + np.sqrt(var) * gen.standard_normal(mean.shape)
+        state.theta = _normal_draw(*_theta_moments(a, mu, panel, ws.mean_ij, ws.var_ij), ws.z_th)
 
 
-def update_local_variances(state: ChainState, panel: SourcePanel, model: ModelVariant, r, d, gen) -> None:
+def update_local_variances(state: ChainState, panel: SourcePanel, model: ModelVariant, r, d, gen, ws=None) -> None:
     """Draw lam_ij, then lam_i, under the variant's local law (m12 keeps them at 1).
 
-    ``r`` and ``d`` are the sweep's residuals (:func:`_residuals`).
+    ``r`` and ``d`` are the sweep's residuals (:func:`_residuals`). A
+    horseshoe variant first draws its run of unit-shape gamma variates in
+    one fill (see :class:`_Workspace`); m1b forms lam_ij and lam_i in one
+    GIG(1/2) pass.
     """
     prior = model.local_prior
     if prior == "unit":
         return
+    if ws is None:
+        ws = _workspace(model, *panel.y.shape)
+    if prior == "lasso" and model.theta_variance_form == "source":
+        # m1b: lam_i's law (n = 1, q = d / tau2_sq) involves no lam_ij, so one
+        # GIG(1/2) pass over the IJ + I cells draws both, its normals and
+        # uniforms drawn in stream order: lam_ij's, then lam_i's
+        _lambda_ij_form(state, model, r, ws.q_ij)
+        n, _ = _lambda_i_form(state, panel, model, r, d, ws.q_i)
+        order, chi = _gig_law(n, ws.q, out=ws.q)
+        gen.standard_normal(out=ws.nu_ij)
+        gen.random(out=ws.u_ij)
+        gen.standard_normal(out=ws.nu_i)
+        gen.random(out=ws.u_i)
+        draws = _gig_half(order, chi, 2.0, ws.nu, ws.u)
+        state.lambda_ij, state.lambda_i = draws[: ws.q_ij.size].reshape(ws.q_ij.shape), draws[ws.q_ij.size :]
+        return
+    if prior == "lasso":
+        if model.has_local_ij:
+            order, chi = _gig_law(*_lambda_ij_form(state, model, r, ws.q_ij, ws.t_i), out=ws.q_ij)
+            state.lambda_ij = _gig_raw(order, chi, 2.0, gen)
+        n, q = _lambda_i_form(state, panel, model, r, d, ws.q_i, ws.t_ij, ws.s_i)
+        order, chi = _gig_law(n, q, out=q)
+        state.lambda_i = _gig_raw(order, chi, 2.0, gen)
+        return
+    gen.standard_gamma(1.0, out=ws.unit_gammas)
     if model.has_local_ij:
-        state.lambda_ij, state.xi_ij = _draw(prior, *_lambda_ij_form(state, model, r), state.xi_ij, gen)
-    state.lambda_i, state.xi_i = _draw(prior, *_lambda_i_form(state, panel, model, r, d), state.xi_i, gen)
+        n, q = _lambda_ij_form(state, model, r, ws.q_ij, ws.t_i)
+        _, rate = _ig_law(n, q, state.xi_ij, out=q, t=ws.t_ij)
+        state.lambda_ij, state.xi_ij = _horseshoe_pair(rate, ws.g_ij, ws.gx_ij, ws.t_ij)
+    n, q = _lambda_i_form(state, panel, model, r, d, ws.q_i, ws.t_ij, ws.s_i)
+    shape, rate = _ig_law(n, q, state.xi_i, out=q, t=ws.t_i)
+    if model.theta_variance_form == "product":
+        gen.standard_gamma(shape, out=ws.g_i)
+        gen.standard_gamma(1.0, out=ws.gx_i)
+    state.lambda_i, state.xi_i = _horseshoe_pair(rate, ws.g_i, ws.gx_i, ws.t_i)
 
 
-def update_global_variances(state: ChainState, model: ModelVariant, r, d, gen) -> None:
+def update_global_variances(state: ChainState, model: ModelVariant, r, d, gen, ws=None) -> None:
     """Draw tau1_sq (with a th level), then tau2_sq, each under the horseshoe law.
 
     ``r`` and ``d`` are the sweep's residuals; the draws are Python floats.
     """
+    if ws is None:
+        ws = _workspace(model, d.size, 1 if r is None else r.shape[1])
     if r is not None:
-        state.tau1_sq, state.xi_tau1 = _draw("horseshoe", *_tau1_form(state, model, r), state.xi_tau1, gen)
-    state.tau2_sq, state.xi_tau2 = _draw("horseshoe", *_tau2_form(state, d), state.xi_tau2, gen)
+        state.tau1_sq, state.xi_tau1 = _global_draw(*_tau1_form(state, model, r, ws.t_ij), state.xi_tau1, gen)
+    state.tau2_sq, state.xi_tau2 = _global_draw(*_tau2_form(state, d, ws.t_i), state.xi_tau2, gen)
 
 
 def sweep(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
@@ -281,10 +436,11 @@ def sweep(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngSt
     variance draw changes th, mu or eta.
     """
     gen = rng.generator
-    update_gaussian_block(state, panel, model, gen)
-    r, d = _residuals(state, model)
-    update_local_variances(state, panel, model, r, d, gen)
-    update_global_variances(state, model, r, d, gen)
+    ws = _workspace(model, *panel.y.shape)
+    update_gaussian_block(state, panel, model, gen, ws)
+    r, d = _residuals(state, model, ws.r, ws.d)
+    update_local_variances(state, panel, model, r, d, gen, ws)
+    update_global_variances(state, model, r, d, gen, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +454,19 @@ _VARIANCES = ("lambda_ij", "lambda_i", "tau1_sq", "tau2_sq")
 
 
 def _check_finite(state: ChainState, iteration: int) -> None:
-    # Runs once per sweep, so the probe reads the instance dict and calls
-    # np.add.reduce, which skips ndarray.sum's Python-level wrapper.
-    values = state.__dict__
-    probe = 0.0
-    for name in _QUANTITIES:
-        val = values[name]
-        if isinstance(val, float):
-            probe += val
-        elif val is not None:
-            probe += float(np.add.reduce(val, None))
-    if math.isfinite(probe):
+    # Runs once per sweep: one isfinite over the state's arrays, counted by
+    # np.count_nonzero (which skips the reduction machinery), and one test
+    # per float. Unlike a sum, neither can overflow on finite values.
+    theta = state.theta
+    if theta is None:  # one-source: no th level, no lam_ij
+        cells = np.concatenate((state.mu, state.lambda_i))
+    else:
+        cells = np.concatenate((state.mu, theta.ravel(), state.lambda_ij.ravel(), state.lambda_i))
+    finite = np.isfinite(cells)
+    if (np.count_nonzero(finite) == finite.size and math.isfinite(state.eta)
+            and math.isfinite(state.tau1_sq) and math.isfinite(state.tau2_sq)):
         return
+    values = state.__dict__
     for name in _QUANTITIES:
         val = values[name]
         if val is None:
@@ -318,7 +475,6 @@ def _check_finite(state: ChainState, iteration: int) -> None:
         if bad.size:
             where = f" at coordinate {tuple(bad[0].tolist())}" if np.ndim(val) else ""
             raise SamplerDivergence(f"non-finite {name}{where} on iteration {iteration}")
-    raise SamplerDivergence(f"non-finite state on iteration {iteration}")
 
 
 def _recorded_quantities(model: ModelVariant, monitor: frozenset[str]) -> list[str]:

@@ -100,22 +100,25 @@ class FitConfig:
         }
 
 
-def _fit_panel_for(model, panel: SourcePanel, source: str | None) -> SourcePanel:
-    if model.has_theta_level:
-        return panel
-    if panel.n_sources == 1:
-        return panel
-    if source is None:
-        raise ValueError("one_source on a multi-source panel needs --source")
+def _source_index(panel: SourcePanel, source: str) -> int:
+    """The panel column that ``--source`` names, by source id or 0-based index."""
     if source in panel.sources:
-        return panel.select_source(panel.sources.index(source))
+        return panel.sources.index(source)
     try:
         index = int(source)
     except ValueError:
         index = None
     if index not in range(panel.n_sources):
-        raise ValueError(f"unknown source {source!r}; panel has {panel.sources}")
-    return panel.select_source(index)
+        raise ValueError(f"--source: unknown source {source!r}; panel has {panel.sources}")
+    return index
+
+
+def _fit_panel_for(model, panel: SourcePanel, source: str | None) -> SourcePanel:
+    if model.has_theta_level or panel.n_sources == 1:
+        return panel
+    if source is None:
+        raise ValueError("one_source on a multi-source panel needs --source")
+    return panel.select_source(_source_index(panel, source))
 
 
 def _save_draws(draws: dict[str, np.ndarray], settings: SamplerSettings, model: ModelVariant,
@@ -255,6 +258,8 @@ def run_fit(config: FitConfig) -> dict:
         raise ValueError(f"a posterior sd needs at least 2 kept draws per chain, got {settings.n_kept}")
     if settings.n_chains > 1 and settings.n_kept < MIN_DRAWS:
         raise ValueError(f"split-R-hat needs at least {MIN_DRAWS} kept draws per chain, got {settings.n_kept}")
+    if config.source is not None:
+        _source_index(panel, config.source)  # a given --source must name a column, whatever the models
     fits = {}
     for tag in config.models:
         model = variant(tag)

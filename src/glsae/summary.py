@@ -58,10 +58,9 @@ def source_variance(
     """The source-level variance a_ij implied by the variant structure.
 
     A float ``tau1_sq`` is one draw, with the lambdas given as arrays (the
-    sampler's case); otherwise every argument may carry leading draw axes,
-    and ``out``, when given, receives the batch's a in place. ``shape``
-    supplies (I, J) for the unit form, whose variance carries no local
-    factors.
+    sampler's case); otherwise every argument may carry leading draw axes.
+    ``out``, when given, receives a in place. ``shape`` supplies (I, J)
+    for the unit form, whose variance carries no local factors.
     """
     form = model.theta_variance_form
     if form not in ("product", "source", "unit"):
@@ -70,7 +69,9 @@ def source_variance(
         raise ValueError("unit form needs an explicit (I, J) shape")
     if isinstance(tau1_sq, float):
         if form == "unit":
-            return np.full(shape, tau1_sq)
+            a = np.empty(shape) if out is None else out
+            a.fill(tau1_sq)
+            return a
         tau1 = tau1_sq
     else:
         tau1 = np.asarray(tau1_sq, dtype=float)[..., None, None]
@@ -101,6 +102,7 @@ def collapse(
     lambda_i,
     tau1_sq,
     tau2_sq,
+    out: tuple | None = None,
 ) -> tuple:
     """(a, s2, h2, ybar, A) for one draw or a batch of draws.
 
@@ -110,11 +112,15 @@ def collapse(
     draw (the sampler's case) is array lambdas with float taus; a batch
     gives ``lambda_i`` (..., I) and the taus (...) as arrays (see
     :func:`decompose`). ybar is formed as the weighted total times h2, the
-    arithmetic the sampler's draws are pinned to.
+    arithmetic the sampler's draws are pinned to. ``out``, for one draw, is
+    a tuple of buffers (a, s2, w, h2, ybar, A) that receive the pieces in
+    place, w being scratch for the weights 1/s2; without a th level only
+    A's is used.
     """
+    a_out, s2_out, w_out, h2_out, ybar_out, A_out = out or (None,) * 6
     if not isinstance(tau2_sq, float):
         tau2_sq = np.asarray(tau2_sq, dtype=float)[..., None]
-    A = lambda_i * tau2_sq
+    A = np.multiply(lambda_i, tau2_sq, out=A_out)
     v = panel.v
     if not model.has_theta_level:
         if A.ndim == 1:
@@ -122,11 +128,11 @@ def collapse(
         # a batch sees the panel constants as read-only views
         s2 = np.broadcast_to(v, A.shape[:-1] + v.shape)
         return None, s2, np.broadcast_to(panel.h2_v, A.shape), np.broadcast_to(panel.ybar_v, A.shape), A
-    a = source_variance(model, lambda_ij, lambda_i, tau1_sq, shape=v.shape)
-    s2 = v + a
-    w, h2 = _weights_and_h2(s2)
-    ybar = np.add.reduce(panel.y * w, -1) * h2
-    return a, s2, h2, ybar, A
+    a = source_variance(model, lambda_ij, lambda_i, tau1_sq, shape=v.shape, out=a_out)
+    s2 = np.add(v, a, out=s2_out)
+    w, h2 = _weights_and_h2(s2, out=w_out, h2_out=h2_out)
+    ybar = np.add.reduce(np.multiply(panel.y, w, out=w), -1, out=ybar_out)
+    return a, s2, h2, np.multiply(ybar, h2, out=ybar), A
 
 
 def decompose(

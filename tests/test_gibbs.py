@@ -474,6 +474,46 @@ def test_divergence_abort_reports_location(small_panel, tag, spoil, message):
         _check_finite(state, 3)
 
 
+def test_finite_state_whose_sum_overflows_is_not_a_divergence(small_panel):
+    """Finite values whose sum overflows pass the probe, with no overflow warning (warnings are errors here)."""
+    from glsae.gibbs import _check_finite
+
+    state = init_state(small_panel, variant("m1a"), 0.0, RngStream(8, 0))
+    state.lambda_ij[0] = [1e308, 1e308]
+    _check_finite(state, 7)
+
+
+def test_one_fill_draws_what_consecutive_calls_draw():
+    """The sweep's fills rest on these stream facts: one fill of n values equals consecutive calls totalling n."""
+    I, J = 5, 3
+    a, b = np.random.default_rng(21), np.random.default_rng(21)
+    z = np.empty(1 + I + I * J)
+    a.standard_normal(out=z)
+    parts = [np.atleast_1d(b.standard_normal()), b.standard_normal(I), b.standard_normal((I, J)).ravel()]
+    assert np.array_equal(z, np.concatenate(parts))
+    g = np.empty(2 * I * J + 2 * I)
+    a.standard_gamma(1.0, out=g)
+    parts = [b.standard_gamma(1.0, (I, J)).ravel(), b.standard_gamma(1.0, (I, J)).ravel(),
+             b.standard_gamma(1.0, I), b.standard_gamma(1.0, I)]
+    assert np.array_equal(g, np.concatenate(parts))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("tag", ["m11a", "m1b", "one_source"])
+def test_chain_draws_do_not_depend_on_the_chain_before(small_panel, tag):
+    """Chain 1 of a 2-chain run equals a 1-chain run on its stream: the sweep carries nothing between chains."""
+    model = variant(tag)
+    panel = small_panel if model.has_theta_level else small_panel.select_source(0)
+    monitor = frozenset({"mu", "theta", "eta", "variances"})
+    both = run_chains(panel, model, SamplerSettings(seed=13, n_iter=60, n_burnin=10, n_chains=2, monitor=monitor),
+                      stream_base=4)
+    alone = run_chains(panel, model, SamplerSettings(seed=13, n_iter=60, n_burnin=10, n_chains=1, monitor=monitor),
+                       overdispersion=0.1, stream_base=5)
+    assert both.keys() == alone.keys()
+    for key in both:
+        assert np.array_equal(both[key][1], alone[key][0]), key
+
+
 @pytest.mark.parametrize("tag", ["m11a", "m11b", "m1a", "m1b", "m12", "one_source"])
 def test_sweep_runs_every_variant(small_panel, tag):
     model = variant(tag)

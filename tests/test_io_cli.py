@@ -225,6 +225,7 @@ _FIT_REFUSALS = [
     (None, "", [], "no model to fit"),
     (None, ",", [], "no model to fit"),
     (None, "one-source", ["--source", "-1"], "unknown source '-1'; panel has ('brfss', 'sahie')"),
+    (None, "m12", ["--source", "zzz"], "--source: unknown source 'zzz'; panel has ('brfss', 'sahie')"),
 ]
 
 
@@ -255,6 +256,18 @@ def test_invalid_panel_is_refused_before_writing(tmp_path, capsys, command):
         argv = ["simulate", "--case", "1", "--rows", "1", "--replicates", "1", "--v-panel", str(panel)]
     assert main([*argv, "--iters", "50", "--burnin", "10", "--seed", "1", "--out", str(out)]) == 2
     assert f"{panel}: invalid panel: sampling variance at (1, 0) must be > 0" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_fit_refuses_an_unknown_source_on_a_single_source_panel(tmp_path, capsys):
+    panel = tmp_path / "one.csv"
+    _write_panel(panel, [f"c{i},brfss,0.2{i},0.01" for i in range(4)])
+    out = tmp_path / "o"
+    assert main([
+        "fit", "--panel", str(panel), "--model", "one-source", "--source", "zzz",
+        "--iters", "50", "--burnin", "10", "--seed", "1", "--out", str(out),
+    ]) == 2
+    assert "--source: unknown source 'zzz'; panel has ('brfss',)" in _one_error_line(capsys)
     assert not out.exists()
 
 
@@ -621,6 +634,7 @@ def test_simulate_rejects_bad_model_list_before_writing(tmp_path, capsys, models
 @pytest.mark.parametrize("rows, message", [
     ("0,1,99", "rows [0, 99] are not in the case 1 grid"),
     (",", "no rows selected"),
+    ("1-x", "--rows: '1-x' is not a row number or a range such as 1-6"),
 ])
 def test_simulate_rejects_rows_outside_the_grid_before_writing(tmp_path, capsys, rows, message):
     out = tmp_path / "x"
