@@ -149,10 +149,24 @@ def _gig_half(order, chi, psi, nu, u):
     and GIG(+1/2, chi, psi) is its reciprocal with chi and psi swapped.
     """
     if order > 0:
-        out = 1.0 / np.maximum(_wald_stable(np.sqrt(psi / chi), psi, nu, u), _FLOOR)
+        out = 1.0 / np.maximum(_wald_stable(np.sqrt(psi / chi), psi, nu, u), _FLOOR_0D)
     else:
         out = _wald_stable(np.sqrt(chi / psi), chi, nu, u)
-    return np.maximum(out, _FLOOR)
+    return np.maximum(out, _FLOOR_0D)
+
+
+def _gig_half_runs(order, chi, psi, gen, nu, u, runs):
+    """GIG(+-1/2, chi, psi) draws over a 1-d ``chi`` in one pass.
+
+    ``nu`` and ``u`` are buffers the size of ``chi``, and ``runs`` holds
+    (normals, uniforms) views into them, one pair per run of cells in
+    order. The draws consume the stream as ``_gig_raw`` over each run in
+    turn would: the run's normals, then its uniforms.
+    """
+    for run_nu, run_u in runs:
+        gen.standard_normal(out=run_nu)
+        gen.random(out=run_u)
+    return _gig_half(order, chi, psi, nu, u)
 
 
 def _devroye_log_kernel(z, alpha, lam):
@@ -237,7 +251,7 @@ def _gig_raw(order, chi, psi, gen):
     chi). Callers guarantee chi > 0 and psi > 0.
     """
     if abs(order) == 0.5:
-        # the Wald path draws every normal, then every uniform
+        # the Wald path draws every normal, then every uniform (as _gig_half_runs does per run)
         size = np.broadcast(chi, psi).shape or None
         nu = gen.standard_normal(size)
         return _gig_half(order, chi, psi, nu, gen.random(size))

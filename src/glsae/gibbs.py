@@ -58,9 +58,10 @@ Draw order of one sweep (a variant skips the quantities it lacks):
                                          fill: lam_ij, xi_ij, lam_i and xi_i (m1a, 2IJ + 2I),
                                          lam_ij and xi_ij (m11a, 2IJ; its lam_i, of shape
                                          (J + 2)/2, and xi_i follow) or lam_i and xi_i
-                                         (one-source, 2I). A lasso draw takes its normals,
-                                         then its uniforms; m1b draws lam_ij's, then
-                                         lam_i's, and forms both in one pass.
+                                         (one-source, 2I). A lasso variance is one GIG
+                                         draw; m1b's lam_ij and lam_i, both GIG(1/2), take
+                                         their normals and uniforms in that order and
+                                         form in one pass.
     tau1_sq, xi_tau1, tau2_sq, xi_tau2   global variances, one scalar draw each, as
                                          Python floats
 
@@ -72,17 +73,19 @@ Each sweep works in a :class:`_Workspace` of preallocated temporaries.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import summary as _summary
-from .distributions import GigParams, InverseGammaParams, _gig_half, _gig_raw, _invgamma_of, _invgamma_raw
-from .model import ChainState, ModelVariant, SamplerSettings, SourcePanel, init_state, unit_state
+from .distributions import GigParams, InverseGammaParams, _gig_half_runs, _gig_raw, _invgamma_of, _invgamma_raw
+from .model import ChainState, ModelVariant, SamplerSettings, SourcePanel, init_state, unit_state, variant
 from .rng import RngStream
 
 _CHI_CLAMP = 1e-30
-_CHI_CLAMP_0D = np.array(_CHI_CLAMP)  # numpy converts a Python-float operand on every call
+# 0-d arrays, because numpy converts a Python-float operand on every call
+_CHI_CLAMP_0D, _ONE_0D, _TWO_0D = np.array(_CHI_CLAMP), np.array(1.0), np.array(2.0)
 
 
 class SamplerDivergence(RuntimeError):
@@ -116,11 +119,14 @@ class _Workspace:
         self.mean_ij, self.var_ij, self.t_ij = (np.empty((I, J)) for _ in range(3))
         self.r = np.empty((I, J)) if theta else None
         self.d = np.empty(I)
-        # the local forms' q, lam_ij's cells then lam_i's, and m1b's Wald
-        # normals and uniforms in the same layout
-        self.q, self.q_ij, self.q_i = _cells(I, J)
-        self.nu, self.nu_ij, self.nu_i = _cells(I, J)
-        self.u, self.u_ij, self.u_i = _cells(I, J)
+        # the local forms' q: lam_ij's cells, then lam_i's
+        self.q = np.empty(I * J + I)
+        self.q_ij, self.q_i = self.q[: I * J].reshape(I, J), self.q[I * J :]
+        if model.local_prior == "lasso" and model.theta_variance_form == "source":
+            # m1b's GIG(1/2) normals and uniforms in the same layout, as
+            # _gig_half_runs takes them: lam_ij's run, then lam_i's
+            self.nu, self.u = np.empty(I * J + I), np.empty(I * J + I)
+            self.wald_runs = ((self.nu[: I * J], self.u[: I * J]), (self.nu[I * J :], self.u[I * J :]))
         # The horseshoe's unit-shape gammas, in stream order: those of lam_ij
         # and xi_ij, then those of lam_i and xi_i unless the product form's
         # lam_i (gamma shape (J + 2) / 2) breaks the run.
@@ -133,23 +139,14 @@ class _Workspace:
         self.g_i, self.gx_i = (np.empty(I), np.empty(I)) if apart else (g[2 * n_ij : 2 * n_ij + I], g[2 * n_ij + I :])
 
 
-def _cells(I: int, J: int) -> tuple:
-    """One (IJ + I,) buffer and its (I, J) and (I,) views, in that order."""
-    buf = np.empty(I * J + I)
-    return buf, buf[: I * J].reshape(I, J), buf[I * J :]
+@functools.cache
+def _workspace(tag: str, I: int, J: int) -> _Workspace:
+    """The one workspace per (variant, I, J) and process.
 
-
-# One workspace per (variant, I, J) and process; chains and sweeps run one
-# at a time in a process, and each sweep rewrites what it reads.
-_WORKSPACES: dict[tuple[str, int, int], _Workspace] = {}
-
-
-def _workspace(model: ModelVariant, I: int, J: int) -> _Workspace:
-    key = (model.tag, I, J)
-    ws = _WORKSPACES.get(key)
-    if ws is None:
-        ws = _WORKSPACES[key] = _Workspace(model, I, J)
-    return ws
+    Chains and sweeps run one at a time in a process, and each sweep
+    rewrites what it reads.
+    """
+    return _Workspace(variant(tag), I, J)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +227,9 @@ def _residuals(state: ChainState, model: ModelVariant, r=None, d=None):
 
 
 # Each form returns (n, q): the number of normal terms the variance scales
-# and their quadratic form with the variance itself factored out, in
-# ``out`` when given (``t`` and ``u`` are scratch). The global forms return
-# q as a float.
+# and their quadratic form with the variance itself factored out. A local
+# form's q goes into ``out`` when given (``t`` and ``u`` are scratch); the
+# global forms return q as a float.
 
 
 def _lambda_ij_form(state: ChainState, model: ModelVariant, r, out=None, t=None):
@@ -252,25 +249,25 @@ def _lambda_i_form(state: ChainState, panel: SourcePanel, model: ModelVariant, r
     return 1, q
 
 
-def _tau1_form(state: ChainState, model: ModelVariant, r, t=None):
+def _tau1_form(state: ChainState, model: ModelVariant, r):
     form = model.theta_variance_form
     if form == "product":
-        r = np.divide(r, np.multiply(state.lambda_ij, state.lambda_i[:, None], out=t), out=t)
+        r = r / (state.lambda_ij * state.lambda_i[:, None])
     elif form == "source":
-        r = np.divide(r, state.lambda_ij, out=t)
+        r = r / state.lambda_ij
     # the unit form's u is 1
     return r.size, float(np.add.reduce(r, None))
 
 
-def _tau2_form(state: ChainState, d, t=None):
-    return d.size, float(np.add.reduce(np.divide(d, state.lambda_i, out=t), None))
+def _tau2_form(state: ChainState, d):
+    return d.size, float(np.add.reduce(d / state.lambda_i, None))
 
 
 def _ig_law(n, q, xi, out=None, t=None):
-    """Shape and rate of a horseshoe variance's IG conditional; an array rate forms in ``out``."""
-    if type(q) is float:
+    """Shape and rate of a horseshoe variance's IG conditional; the rate forms in ``out`` when given."""
+    if out is None:
         return n / 2.0 + 0.5, q / 2.0 + 1.0 / xi
-    rate = np.divide(q, 2.0, out=out)
+    rate = np.divide(q, _TWO_0D, out=out)
     return n / 2.0 + 0.5, np.add(rate, np.reciprocal(xi, out=t), out=out)
 
 
@@ -281,9 +278,9 @@ def _gig_law(n, q, out=None):
 
 def _xi_rate(lam, out=None):
     """Rate of the mixing variable's IG(1, rate) conditional."""
-    if type(lam) is float:
+    if out is None:
         return 1.0 + 1.0 / lam
-    return np.add(np.reciprocal(lam, out=out), 1.0, out=out)
+    return np.add(np.reciprocal(lam, out=out), _ONE_0D, out=out)
 
 
 def _law(prior: str, n, q, xi):
@@ -349,16 +346,14 @@ def _normal_draw(mean, var, z):
     return np.add(mean, np.multiply(var, z, out=var))
 
 
-def update_gaussian_block(state: ChainState, panel: SourcePanel, model: ModelVariant, gen, ws=None) -> None:
+def update_gaussian_block(state: ChainState, panel: SourcePanel, model: ModelVariant, gen) -> None:
     """Draw eta, then mu given eta, then th given mu, from one set of collapsed pieces.
 
     None of the three draws changes a variance, so the pieces computed
     once at the top serve all of them, and one fill draws their standard
-    normals in the order eta, mu, th. ``ws`` is the sweep's
-    :class:`_Workspace`, looked up when not given.
+    normals in the order eta, mu, th.
     """
-    if ws is None:
-        ws = _workspace(model, *panel.y.shape)
+    ws = _workspace(model.tag, *panel.y.shape)
     a, _, h2, ybar, A = _collapsed(state, panel, model, ws.collapsed)
     z = gen.standard_normal(out=ws.z)
     mean, var = _eta_moments(h2, ybar, A, ws.t_i)
@@ -369,7 +364,7 @@ def update_gaussian_block(state: ChainState, panel: SourcePanel, model: ModelVar
         state.theta = _normal_draw(*_theta_moments(a, mu, panel, ws.mean_ij, ws.var_ij), ws.z_th)
 
 
-def update_local_variances(state: ChainState, panel: SourcePanel, model: ModelVariant, r, d, gen, ws=None) -> None:
+def update_local_variances(state: ChainState, panel: SourcePanel, model: ModelVariant, r, d, gen) -> None:
     """Draw lam_ij, then lam_i, under the variant's local law (m12 keeps them at 1).
 
     ``r`` and ``d`` are the sweep's residuals (:func:`_residuals`). A
@@ -380,26 +375,19 @@ def update_local_variances(state: ChainState, panel: SourcePanel, model: ModelVa
     prior = model.local_prior
     if prior == "unit":
         return
-    if ws is None:
-        ws = _workspace(model, *panel.y.shape)
-    if prior == "lasso" and model.theta_variance_form == "source":
-        # m1b: lam_i's law (n = 1, q = d / tau2_sq) involves no lam_ij, so one
-        # GIG(1/2) pass over the IJ + I cells draws both, its normals and
-        # uniforms drawn in stream order: lam_ij's, then lam_i's
-        _lambda_ij_form(state, model, r, ws.q_ij)
-        n, _ = _lambda_i_form(state, panel, model, r, d, ws.q_i)
-        order, chi = _gig_law(n, ws.q, out=ws.q)
-        gen.standard_normal(out=ws.nu_ij)
-        gen.random(out=ws.u_ij)
-        gen.standard_normal(out=ws.nu_i)
-        gen.random(out=ws.u_i)
-        draws = _gig_half(order, chi, 2.0, ws.nu, ws.u)
-        state.lambda_ij, state.lambda_i = draws[: ws.q_ij.size].reshape(ws.q_ij.shape), draws[ws.q_ij.size :]
-        return
+    ws = _workspace(model.tag, *panel.y.shape)
     if prior == "lasso":
-        if model.has_local_ij:
-            order, chi = _gig_law(*_lambda_ij_form(state, model, r, ws.q_ij, ws.t_i), out=ws.q_ij)
-            state.lambda_ij = _gig_raw(order, chi, 2.0, gen)
+        n, q = _lambda_ij_form(state, model, r, ws.q_ij, ws.t_i)
+        if model.theta_variance_form == "source":
+            # m1b: lam_i's law (n = 1, q = d / tau2_sq) reads no lam_ij, so one
+            # GIG(1/2) pass over the IJ + I cells of ws.q draws both
+            _lambda_i_form(state, panel, model, r, d, ws.q_i)
+            order, chi = _gig_law(n, ws.q, out=ws.q)
+            draws = _gig_half_runs(order, chi, 2.0, gen, ws.nu, ws.u, ws.wald_runs)
+            state.lambda_ij, state.lambda_i = draws[: q.size].reshape(q.shape), draws[q.size :]
+            return
+        order, chi = _gig_law(n, q, out=q)
+        state.lambda_ij = _gig_raw(order, chi, 2.0, gen)
         n, q = _lambda_i_form(state, panel, model, r, d, ws.q_i, ws.t_ij, ws.s_i)
         order, chi = _gig_law(n, q, out=q)
         state.lambda_i = _gig_raw(order, chi, 2.0, gen)
@@ -417,16 +405,14 @@ def update_local_variances(state: ChainState, panel: SourcePanel, model: ModelVa
     state.lambda_i, state.xi_i = _horseshoe_pair(rate, ws.g_i, ws.gx_i, ws.t_i)
 
 
-def update_global_variances(state: ChainState, model: ModelVariant, r, d, gen, ws=None) -> None:
+def update_global_variances(state: ChainState, model: ModelVariant, r, d, gen) -> None:
     """Draw tau1_sq (with a th level), then tau2_sq, each under the horseshoe law.
 
     ``r`` and ``d`` are the sweep's residuals; the draws are Python floats.
     """
-    if ws is None:
-        ws = _workspace(model, d.size, 1 if r is None else r.shape[1])
     if r is not None:
-        state.tau1_sq, state.xi_tau1 = _global_draw(*_tau1_form(state, model, r, ws.t_ij), state.xi_tau1, gen)
-    state.tau2_sq, state.xi_tau2 = _global_draw(*_tau2_form(state, d, ws.t_i), state.xi_tau2, gen)
+        state.tau1_sq, state.xi_tau1 = _global_draw(*_tau1_form(state, model, r), state.xi_tau1, gen)
+    state.tau2_sq, state.xi_tau2 = _global_draw(*_tau2_form(state, d), state.xi_tau2, gen)
 
 
 def sweep(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngStream) -> None:
@@ -436,11 +422,11 @@ def sweep(state: ChainState, panel: SourcePanel, model: ModelVariant, rng: RngSt
     variance draw changes th, mu or eta.
     """
     gen = rng.generator
-    ws = _workspace(model, *panel.y.shape)
-    update_gaussian_block(state, panel, model, gen, ws)
+    update_gaussian_block(state, panel, model, gen)
+    ws = _workspace(model.tag, *panel.y.shape)
     r, d = _residuals(state, model, ws.r, ws.d)
-    update_local_variances(state, panel, model, r, d, gen, ws)
-    update_global_variances(state, model, r, d, gen, ws)
+    update_local_variances(state, panel, model, r, d, gen)
+    update_global_variances(state, model, r, d, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +442,10 @@ _VARIANCES = ("lambda_ij", "lambda_i", "tau1_sq", "tau2_sq")
 def _check_finite(state: ChainState, iteration: int) -> None:
     # Runs once per sweep: one isfinite over the state's arrays, counted by
     # np.count_nonzero (which skips the reduction machinery), and one test
-    # per float. Unlike a sum, neither can overflow on finite values.
+    # per float. Unlike a sum, neither can overflow on finite values. The
+    # probe names its fields because a walk over _QUANTITIES costs a few per
+    # cent of a sweep; test_probe_sees_every_sampled_field holds it to
+    # _QUANTITIES for every variant, and the closing raise backs it.
     theta = state.theta
     if theta is None:  # one-source: no th level, no lam_ij
         cells = np.concatenate((state.mu, state.lambda_i))
@@ -475,6 +464,7 @@ def _check_finite(state: ChainState, iteration: int) -> None:
         if bad.size:
             where = f" at coordinate {tuple(bad[0].tolist())}" if np.ndim(val) else ""
             raise SamplerDivergence(f"non-finite {name}{where} on iteration {iteration}")
+    raise SamplerDivergence(f"non-finite state on iteration {iteration}")
 
 
 def _recorded_quantities(model: ModelVariant, monitor: frozenset[str]) -> list[str]:

@@ -474,6 +474,26 @@ def test_divergence_abort_reports_location(small_panel, tag, spoil, message):
         _check_finite(state, 3)
 
 
+@pytest.mark.parametrize("tag", ["m11a", "m11b", "m1a", "m1b", "m12", "one_source"])
+def test_probe_sees_every_sampled_field(small_panel, tag):
+    """A non-finite value in any field of _QUANTITIES that the variant holds is a divergence naming that field."""
+    from glsae.gibbs import _QUANTITIES, _check_finite
+
+    model = variant(tag)
+    panel = small_panel if model.has_theta_level else small_panel.select_source(0)
+    for name in _QUANTITIES:
+        state = init_state(panel, model, 0.0, RngStream(8, 0))
+        val = getattr(state, name)
+        if val is None:
+            continue
+        if isinstance(val, float):
+            setattr(state, name, np.nan)
+        else:
+            val.flat[-1] = np.nan
+        with pytest.raises(SamplerDivergence, match=rf"^non-finite {name}( at coordinate .*)? on iteration 5$"):
+            _check_finite(state, 5)
+
+
 def test_finite_state_whose_sum_overflows_is_not_a_divergence(small_panel):
     """Finite values whose sum overflows pass the probe, with no overflow warning (warnings are errors here)."""
     from glsae.gibbs import _check_finite
@@ -496,6 +516,20 @@ def test_one_fill_draws_what_consecutive_calls_draw():
     parts = [b.standard_gamma(1.0, (I, J)).ravel(), b.standard_gamma(1.0, (I, J)).ravel(),
              b.standard_gamma(1.0, I), b.standard_gamma(1.0, I)]
     assert np.array_equal(g, np.concatenate(parts))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("order", [0.5, -0.5])
+def test_one_gig_pass_draws_what_two_calls_draw(order):
+    """m1b's one GIG(1/2) pass over lam_ij's cells, then lam_i's, equals a _gig_raw call over each in turn."""
+    from glsae.distributions import _gig_half_runs, _gig_raw
+
+    chi = np.random.default_rng(3).uniform(0.01, 5.0, 9)
+    a, b = np.random.default_rng(22), np.random.default_rng(22)
+    nu, u = np.empty(9), np.empty(9)
+    one_pass = _gig_half_runs(order, chi, 2.0, a, nu, u, ((nu[:6], u[:6]), (nu[6:], u[6:])))
+    two_calls = np.concatenate([_gig_raw(order, chi[:6], 2.0, b), _gig_raw(order, chi[6:], 2.0, b)])
+    assert np.array_equal(one_pass, two_calls)
     assert a.bit_generator.state == b.bit_generator.state
 
 
