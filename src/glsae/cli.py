@@ -21,14 +21,16 @@ def _parse_rows(text: str) -> tuple[int, ...]:
     rows: list[int] = []
     for part in text.split(","):
         part = part.strip()
+        if not part:
+            continue
+        lo, dash, hi = part.partition("-")
         try:
-            if "-" in part:
-                lo, hi = part.split("-", 1)
-                rows.extend(range(int(lo), int(hi) + 1))
-            elif part:
-                rows.append(int(part))
+            first, last = int(lo), int(hi if dash else lo)
         except ValueError:
             raise ValueError(f"--rows: {part!r} is not a row number or a range such as 1-6") from None
+        if first > last:
+            raise ValueError(f"--rows: {part!r} runs backwards; write it as {last}-{first}")
+        rows.extend(range(first, last + 1))
     return tuple(sorted(set(rows)))
 
 
@@ -66,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sources", type=int, default=2, help="sources per area (cases 1-4)")
     sim.add_argument("--bootstrap-v", action="store_true",
                      help="resample sampling variances per replicate from the pool (wider-J mode)")
-    sim.add_argument("--delta-scope", default="unit", choices=("unit", "panel"))
 
     diag = sub.add_parser("diagnose", help="split-R-hat report from saved draws")
     diag.add_argument("--draws", required=True, help="draws directory written by fit")
@@ -116,7 +117,6 @@ def _cmd_simulate(args) -> int:
         bootstrap_v=args.bootstrap_v,
         v_panel=args.v_panel,
         spec_file=None if args.specs == "all" else args.specs,
-        delta_scope=args.delta_scope,
     )
     run_simulation(config)
     print(f"simulation complete: {args.out}")

@@ -29,6 +29,12 @@ horseshoe    kernel ``-0.5*log x - log1p(x)`` (exact minus ``log pi``)
 Samplers floor their output at 1e-300 purely to avoid returning an exact
 zero from underflow; there is no statistical flooring.
 
+Each draw has one path. Inverse-gamma arrays come from their gamma
+variates by :func:`_invgamma_of`, and a scalar (a Gibbs global
+variance) by :func:`_invgamma_raw`. GIG draws at order +-1/2 go through
+:func:`_gig_half_runs`, the one place that orders their normals and
+uniforms, and every other order through Devroye's rejection sampler.
+
 All samplers are pure functions of (params, stream state); see
 :class:`glsae.rng.RngStream` for the concurrency contract.
 """
@@ -43,7 +49,8 @@ import numpy as np
 from .rng import RngStream
 
 _FLOOR = 1e-300
-_FLOOR_0D = np.array(_FLOOR)
+# 0-d arrays, because numpy converts a Python-float operand on every call
+_FLOOR_0D, _ONE_0D, _TWO_0D = np.array(_FLOOR), np.array(1.0), np.array(2.0)
 _GIG_MAX_ROUNDS = 100
 
 
@@ -88,39 +95,36 @@ def sample_normal(mean, variance, rng: RngStream):
     return float(draw) if draw.ndim == 0 else draw
 
 
-def _invgamma_raw(shape, rate, gen):
-    """IG(shape, rate) draw without validation (hot path for the Gibbs loop).
+def _invgamma_raw(shape: float, rate: float, gen) -> float:
+    """One IG(shape, rate) draw at Python-float parameters, as a Python float, without validation.
 
-    A Python-float ``rate`` gives a Python-float draw. ``standard_gamma``
-    gives the bits of ``gamma(shape, 1.0)``, and the floor is a 0-d array
-    because numpy converts a Python-float operand on every call. Callers
-    guarantee positive finite parameters; the chain driver's per-sweep
-    non-finite guard backstops anything pathological.
+    The Gibbs loop's global variances take this path; every array of
+    draws goes through :func:`_invgamma_of`. Callers guarantee positive
+    finite parameters; the chain driver's per-sweep non-finite guard
+    backstops anything pathological.
     """
-    if type(rate) is float:
-        g = gen.standard_gamma(shape)
-        # a zero gamma draw gives inf, as numpy's division would
-        return max(rate / g, _FLOOR) if g else math.inf
-    size = getattr(rate, "shape", None) or getattr(shape, "shape", None) or None
-    return _invgamma_of(rate, gen.standard_gamma(shape, size))
+    g = gen.standard_gamma(shape)
+    # a zero gamma draw gives inf, as numpy's division would
+    return max(rate / g, _FLOOR) if g else math.inf
 
 
 def _invgamma_of(rate, gamma, out=None):
     """IG(shape, rate) draws from their standard gamma(shape) variates ``gamma``.
 
-    The quotient rate / gamma goes into ``out`` when given (it may be
+    ``standard_gamma`` gives the bits of ``gamma(shape, 1.0)``. The
+    quotient rate / gamma goes into ``out`` when given (it may be
     ``gamma``); the floored draws are a fresh array.
     """
     return np.maximum(np.divide(rate, gamma, out=out), _FLOOR_0D)
 
 
 def sample_inverse_gamma(p: InverseGammaParams, rng: RngStream):
-    """Draw from IG(shape, rate), elementwise over broadcast parameters."""
+    """Draw from IG(shape, rate), elementwise over broadcast parameters, by :func:`_invgamma_of`."""
     p.validate()
     shape, rate = np.broadcast_arrays(
         np.asarray(p.shape, dtype=float), np.asarray(p.rate, dtype=float)
     )
-    out = _invgamma_raw(shape, rate, rng.generator)
+    out = _invgamma_of(rate, rng.generator.standard_gamma(shape))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -136,8 +140,8 @@ def _wald_stable(mean, scale, nu, u):
     to ``mean``, so the draws take the shape of ``mean``.
     """
     nu = nu * nu
-    w = mean * nu / (2.0 * scale)
-    small = mean / (1.0 + w + np.sqrt(w * (w + 2.0)))
+    w = mean * nu / (_TWO_0D * scale)
+    small = mean / (_ONE_0D + w + np.sqrt(w * (w + _TWO_0D)))
     # accept the small root with prob mean/(mean+small), else the conjugate root
     return np.where(u * (mean + small) <= mean, small, mean * mean / small)
 
@@ -149,19 +153,19 @@ def _gig_half(order, chi, psi, nu, u):
     and GIG(+1/2, chi, psi) is its reciprocal with chi and psi swapped.
     """
     if order > 0:
-        out = 1.0 / np.maximum(_wald_stable(np.sqrt(psi / chi), psi, nu, u), _FLOOR_0D)
+        out = np.reciprocal(np.maximum(_wald_stable(np.sqrt(psi / chi), psi, nu, u), _FLOOR_0D))
     else:
         out = _wald_stable(np.sqrt(chi / psi), chi, nu, u)
     return np.maximum(out, _FLOOR_0D)
 
 
 def _gig_half_runs(order, chi, psi, gen, nu, u, runs):
-    """GIG(+-1/2, chi, psi) draws over a 1-d ``chi`` in one pass.
+    """GIG(+-1/2, chi, psi) draws over ``chi`` in one pass; the one place that orders the Wald variates.
 
-    ``nu`` and ``u`` are buffers the size of ``chi``, and ``runs`` holds
-    (normals, uniforms) views into them, one pair per run of cells in
-    order. The draws consume the stream as ``_gig_raw`` over each run in
-    turn would: the run's normals, then its uniforms.
+    ``nu`` and ``u`` are buffers the shape of ``chi`` and ``psi``
+    broadcast, and ``runs`` holds (normals, uniforms) views into them,
+    one pair per run of cells in order. Each run draws its normals, then
+    its uniforms; :func:`_gig_raw` passes one run over all its cells.
     """
     for run_nu, run_u in runs:
         gen.standard_normal(out=run_nu)
@@ -251,10 +255,9 @@ def _gig_raw(order, chi, psi, gen):
     chi). Callers guarantee chi > 0 and psi > 0.
     """
     if abs(order) == 0.5:
-        # the Wald path draws every normal, then every uniform (as _gig_half_runs does per run)
-        size = np.broadcast(chi, psi).shape or None
-        nu = gen.standard_normal(size)
-        return _gig_half(order, chi, psi, nu, gen.random(size))
+        shape = np.broadcast(chi, psi).shape
+        nu, u = np.empty(shape), np.empty(shape)
+        return _gig_half_runs(order, chi, psi, gen, nu, u, ((nu, u),))
     chi, psi = np.broadcast_arrays(np.asarray(chi, dtype=float), np.asarray(psi, dtype=float))
     omega = (np.sqrt(chi) * np.sqrt(psi)).reshape(-1)  # chi * psi may underflow
     root = np.hypot(omega, abs(order))
@@ -284,8 +287,8 @@ def sample_halfcauchy_sq(rng: RngStream, size=None):
     so that sqrt(v) is marginally standard half-Cauchy.
     """
     gen = rng.generator
-    x = _invgamma_raw(0.5, 1.0 if size is None else np.ones(size), gen)
-    return _invgamma_raw(0.5, 1.0 / x, gen), x
+    x = _invgamma_of(1.0, gen.standard_gamma(0.5, size))
+    return _invgamma_of(1.0 / x, gen.standard_gamma(0.5, size)), x
 
 
 def logpdf(dist: str, params, x) -> float | np.ndarray:

@@ -79,13 +79,14 @@ import math
 import numpy as np
 
 from . import summary as _summary
-from .distributions import GigParams, InverseGammaParams, _gig_half_runs, _gig_raw, _invgamma_of, _invgamma_raw
+from .distributions import (
+    _ONE_0D, _TWO_0D, GigParams, InverseGammaParams, _gig_half_runs, _gig_raw, _invgamma_of, _invgamma_raw,
+)
 from .model import ChainState, ModelVariant, SamplerSettings, SourcePanel, init_state, unit_state, variant
 from .rng import RngStream
 
 _CHI_CLAMP = 1e-30
-# 0-d arrays, because numpy converts a Python-float operand on every call
-_CHI_CLAMP_0D, _ONE_0D, _TWO_0D = np.array(_CHI_CLAMP), np.array(1.0), np.array(2.0)
+_CHI_CLAMP_0D = np.array(_CHI_CLAMP)  # 0-d, as numpy converts a Python-float operand on every call
 
 
 class SamplerDivergence(RuntimeError):

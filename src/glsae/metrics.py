@@ -39,11 +39,6 @@ class FitScore:
     asd: float
     n_nonpositive_truth: int = 0
 
-    def get(self, measure: str) -> float:
-        if measure not in MEASURES:
-            raise MetricError(f"unknown measure {measure!r}")
-        return getattr(self, measure)
-
 
 def score(estimates, truths) -> FitScore:
     """The four deviation measures for one replicate."""
@@ -120,10 +115,10 @@ def discrepancy_ratio(
     ratios: dict[str, dict[int, float]] = {m: {} for m in MEASURES}
     for row in sorted(model_scores):
         for m in MEASURES:
-            denom = base_scores[row].get(m)
+            denom = getattr(base_scores[row], m)
             if denom == 0.0:
                 raise MetricError(f"baseline {m} is zero on row {row}")
-            ratios[m][row] = model_scores[row].get(m) / denom
+            ratios[m][row] = getattr(model_scores[row], m) / denom
     stats = {m: SixNumber.of(ratios[m].values()) for m in MEASURES}
     return RatioSummary(ratios=ratios, stats=stats)
 

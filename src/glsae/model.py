@@ -249,6 +249,8 @@ class SamplerSettings:
     monitor: frozenset[str] = frozenset({"mu", "eta", "variances"})
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
         if self.n_iter <= 0 or self.n_chains <= 0 or self.thin <= 0:
             raise ValueError("n_iter, n_chains and thin must be positive")
         if not 0 <= self.n_burnin < self.n_iter:

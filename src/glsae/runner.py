@@ -113,12 +113,13 @@ def _source_index(panel: SourcePanel, source: str) -> int:
     return index
 
 
-def _fit_panel_for(model, panel: SourcePanel, source: str | None) -> SourcePanel:
+def _fit_panel_for(model, panel: SourcePanel, source: int | None) -> SourcePanel:
+    """The panel ``model`` fits: one-source fits of a multi-source panel take column ``source``."""
     if model.has_theta_level or panel.n_sources == 1:
         return panel
     if source is None:
         raise ValueError("one_source on a multi-source panel needs --source")
-    return panel.select_source(_source_index(panel, source))
+    return panel.select_source(source)
 
 
 def _save_draws(draws: dict[str, np.ndarray], settings: SamplerSettings, model: ModelVariant,
@@ -258,14 +259,14 @@ def run_fit(config: FitConfig) -> dict:
         raise ValueError(f"a posterior sd needs at least 2 kept draws per chain, got {settings.n_kept}")
     if settings.n_chains > 1 and settings.n_kept < MIN_DRAWS:
         raise ValueError(f"split-R-hat needs at least {MIN_DRAWS} kept draws per chain, got {settings.n_kept}")
-    if config.source is not None:
-        _source_index(panel, config.source)  # a given --source must name a column, whatever the models
+    # a given --source must name a column, whatever the models
+    source = None if config.source is None else _source_index(panel, config.source)
     fits = {}
     for tag in config.models:
         model = variant(tag)
         if model in fits:
             raise ValueError(f"model {model.tag!r} is listed twice")
-        fits[model] = _fit_panel_for(model, panel, config.source)
+        fits[model] = _fit_panel_for(model, panel, source)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -327,7 +328,6 @@ class SimConfig:
     bootstrap_v: bool = False  # redraw sampling variances per replicate from the pool
     v_panel: str | None = None
     spec_file: str | None = None
-    delta_scope: str = "unit"
 
     def resolved_baseline(self) -> str:
         if self.baseline is not None:
@@ -353,7 +353,7 @@ class SimConfig:
             "v_panel_sha256": sha256_file(self.v_panel) if self.v_panel else None,
             "spec_file": self.spec_file and str(self.spec_file),
             "spec_file_sha256": sha256_file(self.spec_file) if self.spec_file else None,
-            "delta_scope": self.delta_scope,
+            "delta_scope": "unit",  # indicators are drawn per unit; the key keeps manifest hashes stable
         }
 
 
@@ -457,11 +457,7 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
         if observed.shape[1] != config.n_sources:
             raise ValueError("fixed-variance mode needs a pool matching --sources; use bootstrap for other J")
         v_kw = {"v": observed, "v_pool": None, "n_areas": observed.shape[0]}
-    common = {
-        "n_sources": config.n_sources,
-        "delta_scope": config.delta_scope,
-        **v_kw,
-    }
+    common = {"n_sources": config.n_sources, **v_kw}
     if config.spec_file:
         specs = load_spec_table(config.spec_file, config.case, **common)
     else:

@@ -12,9 +12,8 @@ t22^2, t22 = 0.05). Case 1 is outlier/outlier, case 2 mixture
 mixture (th). Scales in the spec grids are standard deviations and are
 squared here.
 
-The Bernoulli indicators are drawn independently per unit by default (per
-area at the mu level, per (area, source) at the th level); set
-``delta_scope="panel"`` for a single indicator per level per replicate.
+The Bernoulli indicators are drawn independently per unit: per area at
+the mu level, per (area, source) at the th level.
 
 Cases 5 and 6 use source-specific th laws:
 
@@ -89,7 +88,6 @@ class SimSpec:
     n_areas: int = 62
     n_sources: int = 2
     case5: Case5Params | None = None
-    delta_scope: str = "unit"
     v: np.ndarray | None = None
     v_pool: np.ndarray | None = None
     params: dict = field(default_factory=dict)  # raw grid values, for table output
@@ -97,8 +95,6 @@ class SimSpec:
     def __post_init__(self):
         if self.case_id not in range(1, 7):
             raise ValueError("case_id must be 1..6")
-        if self.delta_scope not in ("unit", "panel"):
-            raise ValueError("delta_scope must be 'unit' or 'panel'")
         if self.case_id in (5, 6):
             if self.case5 is None:
                 raise ValueError("cases 5 and 6 need case5 parameters")
@@ -160,15 +156,11 @@ def generate(spec: SimSpec, replicate_id: int, rng: RngStream) -> SimPanel:
         theta[:, 1] = mu + np.sqrt(delta * c5.tau2**2) * gen.standard_normal(I)
         flags = {"source2": delta}
     else:
-        mu_size = I if spec.delta_scope == "unit" else 1
-        th_size = (I, J) if spec.delta_scope == "unit" else (1, 1)
-        g2_mu, d_mu = spec.mu_level.draw_variance(mu_size, gen)
-        g2_th, d_th = spec.theta_level.draw_variance(th_size, gen)
-        g2_mu = np.broadcast_to(g2_mu, (I,))
-        g2_th = np.broadcast_to(g2_th, (I, J))
+        g2_mu, d_mu = spec.mu_level.draw_variance(I, gen)
+        g2_th, d_th = spec.theta_level.draw_variance((I, J), gen)
         mu = OVERALL_MEAN + np.sqrt(g2_mu) * gen.standard_normal(I)
         theta = mu[:, None] + np.sqrt(g2_th) * gen.standard_normal((I, J))
-        flags = {"mu": np.broadcast_to(d_mu, (I,)).copy(), "theta": np.broadcast_to(d_th, (I, J)).copy()}
+        flags = {"mu": d_mu, "theta": d_th}
 
     y = theta + np.sqrt(v) * gen.standard_normal((I, J))
     areas = tuple(f"area{i+1:02d}" for i in range(I))
@@ -264,7 +256,6 @@ def spec_table(
     n_sources: int = 2,
     v: np.ndarray | None = None,
     v_pool: np.ndarray | None = None,
-    delta_scope: str = "unit",
 ) -> list[SimSpec]:
     """The full specification grid for a case (30/36/20/36/18/12 rows)."""
     if case_id not in _GRIDS:
@@ -275,7 +266,7 @@ def spec_table(
         _spec_from_params(
             case_id, row, params,
             n_areas=n_areas, n_sources=n_sources,
-            v=v, v_pool=v_pool, delta_scope=delta_scope,
+            v=v, v_pool=v_pool,
         )
         for row, params in enumerate(_GRIDS[case_id](), start=1)
     ]

@@ -27,6 +27,36 @@ from glsae.rng import RngStream
 from glsae.summary import source_variance
 
 
+# the kernel checks run on the 3 x 2 fixture, then with these sources
+# appended up to J = 3 and J = 4
+_EXTRA_Y = np.array([[0.23, 0.28], [0.26, 0.21], [0.29, 0.24]])
+_EXTRA_V = np.array([[0.0060, 0.0015], [0.0025, 0.0070], [0.0035, 0.0045]])
+WIDTHS = (2, 3, 4)
+TAGS = ("m11a", "m11b", "m1a", "m1b", "m12", "one_source")
+
+
+def _widen(panel, J):
+    """``panel`` (the 3 x 2 fixture) itself at J = 2, else with sources appended up to J."""
+    extra = J - panel.n_sources
+    if extra == 0:
+        return panel
+    sources = panel.sources + tuple(f"src{j}" for j in range(panel.n_sources + 1, J + 1))
+    return SourcePanel(panel.areas, sources, np.hstack([panel.y, _EXTRA_Y[:, :extra]]),
+                       np.hstack([panel.v, _EXTRA_V[:, :extra]]))
+
+
+def _at_widths(cases, ids):
+    """Each case at every J in WIDTHS; J = 2 keeps the case's own id, others add ``-J<J>``.
+
+    ``one_source`` fits one column whatever J, so it runs at J = 2 only.
+    """
+    return [
+        pytest.param(case, J, id=case_id if J == 2 else f"{case_id}-J{J}")
+        for J in WIDTHS for case, case_id in zip(cases, ids)
+        if J == 2 or case != "one_source"
+    ]
+
+
 def _state_with(panel, model, **overrides):
     state = init_state(panel, model, 0.0, RngStream(0))
     for key, val in overrides.items():
@@ -216,16 +246,16 @@ def test_one_source_tau2_shape():
     assert cond.shape == pytest.approx((3 + 3) / 2 - 1)
 
 
-@pytest.mark.parametrize("pair", [("m11a", "m11b"), ("m1a", "m1b")])
-def test_horseshoe_and_lasso_share_quadratic_forms(small_panel, pair):
+@pytest.mark.parametrize("pair, J", _at_widths([("m11a", "m11b"), ("m1a", "m1b")], ["pair0", "pair1"]))
+def test_horseshoe_and_lasso_share_quadratic_forms(small_panel, pair, J):
     """On one state, the IG rate is the GIG chi/2 + 1/xi and the shape is n/2 + 1/2 = 3/2 - order."""
     hs, la = (variant(t) for t in pair)
-    state = random_positive_state(small_panel, hs, np.random.default_rng(42))
-    J = small_panel.n_sources
+    panel = _widen(small_panel, J)
+    state = random_positive_state(panel, hs, np.random.default_rng(42))
     n_i = J + 1 if hs.theta_variance_form == "product" else 1
     for cond_fn, n, xi in ((lambda_ij_conditional, 1, state.xi_ij), (lambda_i_conditional, n_i, state.xi_i)):
-        ig = cond_fn(state, small_panel, hs)
-        gig = cond_fn(state, small_panel, la)
+        ig = cond_fn(state, panel, hs)
+        gig = cond_fn(state, panel, la)
         assert gig.order == 1.0 - n / 2.0 and gig.psi == 2.0
         assert ig.shape == n / 2.0 + 0.5 == 1.5 - gig.order
         assert np.array_equal(ig.rate, gig.chi / 2.0 + 1.0 / xi)
@@ -253,10 +283,10 @@ def _assert_slice_matches(make_state, set_coord, kernel_logpdf, panel, model, ba
     assert spread / scale < 1e-8, f"kernel mismatch: diffs {diffs}"
 
 
-@pytest.mark.parametrize("tag", ["m11a", "m11b", "m1a", "m1b", "m12", "one_source"])
-def test_conditionals_match_log_joint(small_panel, tag):
+@pytest.mark.parametrize("tag, J", _at_widths(TAGS, TAGS))
+def test_conditionals_match_log_joint(small_panel, tag, J):
     model = variant(tag)
-    panel = small_panel if model.has_theta_level else small_panel.select_source(0)
+    panel = _widen(small_panel, J) if model.has_theta_level else small_panel.select_source(0)
     gen = np.random.default_rng(777)
     for trial in range(20):
         base = random_positive_state(panel, model, gen)
@@ -400,11 +430,11 @@ def test_m12_equals_pinned_m11a(small_panel):
     assert np.array_equal(draws_m12["mu"][0], np.array(mus))
 
 
-@pytest.mark.parametrize("tag", ["m11a", "m11b", "m1a", "m1b", "m12", "one_source"])
-def test_collapsed_conditionals_match_joint_gaussian(small_panel, tag):
+@pytest.mark.parametrize("tag, J", _at_widths(TAGS, TAGS))
+def test_collapsed_conditionals_match_joint_gaussian(small_panel, tag, J):
     """The blocked eta/mu draws match the (th, mu, eta) joint computed by linear algebra."""
     model = variant(tag)
-    panel = small_panel if model.has_theta_level else small_panel.select_source(0)
+    panel = _widen(small_panel, J) if model.has_theta_level else small_panel.select_source(0)
     gen = np.random.default_rng(909)
     I, J = panel.n_areas, panel.n_sources
     for _ in range(10):

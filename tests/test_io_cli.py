@@ -226,6 +226,7 @@ _FIT_REFUSALS = [
     (None, ",", [], "no model to fit"),
     (None, "one-source", ["--source", "-1"], "unknown source '-1'; panel has ('brfss', 'sahie')"),
     (None, "m12", ["--source", "zzz"], "--source: unknown source 'zzz'; panel has ('brfss', 'sahie')"),
+    (None, "m12", ["--seed", "-5"], "--seed must be >= 0, got -5"),
 ]
 
 
@@ -635,6 +636,8 @@ def test_simulate_rejects_bad_model_list_before_writing(tmp_path, capsys, models
     ("0,1,99", "rows [0, 99] are not in the case 1 grid"),
     (",", "no rows selected"),
     ("1-x", "--rows: '1-x' is not a row number or a range such as 1-6"),
+    ("6-4", "--rows: '6-4' runs backwards; write it as 4-6"),
+    ("1,6-4", "--rows: '6-4' runs backwards; write it as 4-6"),
 ])
 def test_simulate_rejects_rows_outside_the_grid_before_writing(tmp_path, capsys, rows, message):
     out = tmp_path / "x"
@@ -649,6 +652,7 @@ def test_simulate_rejects_rows_outside_the_grid_before_writing(tmp_path, capsys,
     (["--sources", "1", "--bootstrap-v", "--models", "m1a,msa", "--baseline", "m1a"],
      "model 'msa' fits source column 1, but the panels have 1 source(s)"),
     (["--sources", "0", "--bootstrap-v"], "sources must be >= 1, got 0"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
 ])
 def test_simulate_rejects_bad_settings_before_writing(tmp_path, monkeypatch, capsys, extra, message):
     monkeypatch.setenv("GLSAE_WORKERS", "2")

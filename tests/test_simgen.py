@@ -96,21 +96,6 @@ def test_aberration_flag_rate_matches_probability():
     assert abs(rate_th - 0.4) < 4 * np.sqrt(0.4 * 0.6 / n_th)
 
 
-def test_panel_scope_draws_single_indicator():
-    spec = SimSpec(
-        case_id=1, row=1,
-        theta_level=LevelSpec("outlier", p=0.5, tau11=0.2),
-        mu_level=LevelSpec("outlier", p=0.5, tau11=0.2),
-        n_areas=40, v=np.full((40, 2), 1e-6), delta_scope="panel",
-    )
-    seen = set()
-    for k in range(50):
-        d = generate(spec, k, RngStream(7, k))
-        assert len(set(d.aberration_flags["mu"].tolist())) == 1  # one draw per level
-        seen.add(int(d.aberration_flags["mu"][0]))
-    assert seen == {0, 1}
-
-
 def test_determinism_given_stream():
     spec = _outlier_spec(0.2, 0.2, 0.05, 0.05)
     a = generate(spec, 5, RngStream(8, 5))
