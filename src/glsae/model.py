@@ -251,8 +251,9 @@ class SamplerSettings:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
-        if self.n_iter <= 0 or self.n_chains <= 0 or self.thin <= 0:
-            raise ValueError("n_iter, n_chains and thin must be positive")
+        for option, value in (("--iters", self.n_iter), ("--chains", self.n_chains), ("--thin", self.thin)):
+            if value < 1:
+                raise ValueError(f"{option} must be >= 1, got {value}")
         if not 0 <= self.n_burnin < self.n_iter:
             raise ValueError("need 0 <= n_burnin < n_iter")
         unknown = set(self.monitor) - MONITORABLE

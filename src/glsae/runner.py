@@ -19,20 +19,22 @@ split-R-hat needs, and the replicate count. A fit samples one model at a
 time and releases its draws before the next model samples.
 
 Worker count comes from the GLSAE_WORKERS environment variable (default
-1; anything but an integer >= 1 is an error); work items are scheduled
-across a process pool and each is cached as soon as it finishes, but
-every item derives its streams from its own coordinates and the tables
-are built in spec order, so scheduling cannot leak into the results.
+1; anything but an integer >= 1 is an error). Work items run in that many
+processes, the command's own among them and never more than there are
+items; each process claims the next item from a shared counter and caches
+it as soon as it finishes. Every item derives its streams from its own
+coordinates and the tables are built in spec order, so scheduling cannot
+leak into the results.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing.connection
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import ExitStack
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -404,6 +406,106 @@ def _load_cached(path: Path, targets) -> dict[str, dict] | None:
     return None
 
 
+def _run_item(item, cache_dir: Path, case: int) -> tuple[int, int, dict[str, dict]]:
+    """Run one work item and cache its scores; returns what ``_sim_item`` returns."""
+    row, rep, scores = _sim_item(item)
+    _write_cached(_cache_path(cache_dir, case, row, rep), scores)
+    return row, rep, scores
+
+
+def _claim(counter) -> int:
+    """The index of the next unclaimed item (at least the item count once none is left)."""
+    with counter.get_lock():
+        k = counter.value
+        counter.value = k + 1
+    return k
+
+
+def _stop_claims(counter, n_items: int) -> None:
+    with counter.get_lock():
+        counter.value = n_items
+
+
+def _item_worker(counter, items, conn, cache_dir: Path, case: int) -> None:
+    """A forked worker: run and cache the items it claims, sending each result on ``conn``.
+
+    Its first exception stops all claiming and is sent in place of a result.
+    """
+    try:
+        while (k := _claim(counter)) < len(items):
+            conn.send(_run_item(items[k], cache_dir, case))
+    except BaseException as exc:  # the parent raises it; this process only reports it
+        _stop_claims(counter, len(items))
+        with suppress(Exception):  # the parent is gone, or the exception does not pickle
+            conn.send(exc)
+    finally:
+        conn.close()
+
+
+def _read_results(conns: list, done: dict, block: bool) -> None:
+    """Record the results waiting on the workers' pipes; raises a worker's exception.
+
+    With ``block``, reads until every worker has closed its pipe. A closed
+    pipe is closed here too and leaves ``conns``.
+    """
+    while conns:
+        ready = multiprocessing.connection.wait(conns, timeout=None if block else 0)
+        if not ready:
+            return
+        for conn in ready:
+            try:
+                result = conn.recv()
+            except EOFError:
+                conns.remove(conn)
+                conn.close()
+                continue
+            if isinstance(result, BaseException):
+                raise result
+            row, rep, scores = result
+            done[(row, rep)] = scores
+
+
+def _run_items(items: list, workers: int, cache_dir: Path, case: int) -> dict[tuple[int, int], dict[str, dict]]:
+    """Run and cache ``items`` in ``min(workers, len(items))`` processes, this one among them.
+
+    This process and the workers it forks each claim the next unclaimed
+    item from one shared counter, run it and cache it themselves. Workers
+    send their results, or their first exception, over a pipe that this
+    process reads between its own items. On any exception (this process's,
+    a worker's or an interrupt) claiming stops, every worker is joined and
+    the first error is raised. Returns the scores by (row, replicate).
+    """
+    ctx = multiprocessing.get_context("fork")  # workers share this process's pages and see its patches
+    counter = ctx.Value("i", 0)  # a fork-context lock is unlinked at once, so no resource tracker starts
+    done: dict[tuple[int, int], dict[str, dict]] = {}
+    conns, procs = [], []
+    try:
+        for _ in range(min(workers, len(items)) - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_item_worker, args=(counter, items, writer, cache_dir, case))
+            proc.start()
+            writer.close()
+            procs.append(proc)
+            conns.append(reader)
+        while (k := _claim(counter)) < len(items):
+            row, rep, scores = _run_item(items[k], cache_dir, case)
+            done[(row, rep)] = scores
+            _read_results(conns, done, block=False)
+        _read_results(conns, done, block=True)
+    finally:
+        _stop_claims(counter, len(items))
+        for conn in conns:  # unread results, so that no worker stays blocked on a full pipe
+            with suppress(EOFError):
+                while True:
+                    conn.recv()
+            conn.close()
+        for proc in procs:
+            proc.join()
+    if len(done) < len(items):
+        raise RuntimeError(f"{len(items) - len(done)} simulation item(s) ended in a worker without a result")
+    return done
+
+
 def _code_digest() -> str:
     """SHA-256 over the bytes of every ``glsae/*.py`` file, in name order."""
     h = hashlib.sha256()
@@ -439,7 +541,12 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     if len(set(names)) != len(names):
         raise ValueError("duplicate model names")
     for target in targets:
-        variant(target.tag)  # raises on an unknown model name
+        model = variant(target.tag)  # raises on an unknown model name
+        if not model.has_theta_level and target.source_index is None and config.n_sources > 1:
+            raise ValueError(
+                f"--models: {target.name!r} fits a single source, but the panels have {config.n_sources}; "
+                "name its column as mbr (column 0) or msa (column 1)"
+            )
         if target.source_index is not None and target.source_index >= config.n_sources:
             raise ValueError(
                 f"model {target.name!r} fits source column {target.source_index}, "
@@ -493,15 +600,7 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
             else:
                 items.append((spec, rep, targets, settings))
 
-    with ExitStack() as stack:
-        if workers > 1 and len(items) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            fresh = (f.result() for f in as_completed([pool.submit(_sim_item, it) for it in items]))
-        else:
-            fresh = map(_sim_item, items)
-        for row, rep, scores in fresh:
-            _write_cached(_cache_path(cache_dir, config.case, row, rep), scores)
-            cached[(row, rep)] = scores
+    cached.update(_run_items(items, workers, cache_dir, config.case))
 
     # aggregate medians per (row, model)
     agg: dict[str, dict[int, FitScore]] = {name: {} for name in names}

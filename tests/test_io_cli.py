@@ -227,6 +227,8 @@ _FIT_REFUSALS = [
     (None, "one-source", ["--source", "-1"], "unknown source '-1'; panel has ('brfss', 'sahie')"),
     (None, "m12", ["--source", "zzz"], "--source: unknown source 'zzz'; panel has ('brfss', 'sahie')"),
     (None, "m12", ["--seed", "-5"], "--seed must be >= 0, got -5"),
+    (None, "m12", ["--chains", "0"], "--chains must be >= 1, got 0"),
+    (None, "m12", ["--thin", "0"], "--thin must be >= 1, got 0"),
 ]
 
 
@@ -535,6 +537,127 @@ def test_simulate_pool_caches_items_as_they_finish(tmp_path, monkeypatch):
     assert _run_outputs(out) == _run_outputs(serial)
 
 
+# Set by the tests below; forked workers inherit them with the patched _sim_item.
+_LOG: Path | None = None
+_PROCESSES = 0
+_COMMAND_PID = 0
+_FAIL_IN = ""
+
+
+def _children(pid: int) -> set[str]:
+    return set(Path(f"/proc/{pid}/task/{pid}/children").read_text().split())
+
+
+def _wait_for(done, what: str) -> None:
+    deadline = time.monotonic() + 30.0
+    while not done():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{what} did not happen within 30 s")
+        time.sleep(0.02)
+
+
+def _item_logging_its_process(item):
+    """Work item that logs its process and that process's children, then waits until ``_PROCESSES`` have logged."""
+    pid = os.getpid()
+    with open(_LOG, "a", encoding="utf-8") as log:
+        log.write(f"{pid} {','.join(sorted(_children(pid)))}\n")
+    _wait_for(lambda: len({line.split()[0] for line in _LOG.read_text().splitlines()}) >= _PROCESSES,
+              f"items running in {_PROCESSES} processes")
+    return _sim_item(item)
+
+
+@pytest.mark.parametrize("workers, replicates, processes", [(2, 4, 2), (3, 6, 3), (3, 2, 2)])
+def test_simulate_runs_items_in_w_processes_its_own_among_them(tmp_path, monkeypatch, workers, replicates,
+                                                               processes):
+    from glsae import runner
+
+    log = tmp_path / "pids.log"
+    monkeypatch.setattr(sys.modules[__name__], "_LOG", log)
+    monkeypatch.setattr(sys.modules[__name__], "_PROCESSES", processes)
+    monkeypatch.setattr(runner, "_sim_item", _item_logging_its_process)
+    monkeypatch.setenv("GLSAE_WORKERS", str(workers))
+    own = str(os.getpid())
+    before = _children(os.getpid())
+    args = _toy_simulate(6)
+    args[args.index("--replicates") + 1] = str(replicates)
+    assert main(args + [str(tmp_path / "o")]) == 0
+    logged = [line.partition(" ") for line in log.read_text().splitlines()]
+    assert len(logged) == replicates
+    pids = {pid for pid, _, _ in logged}
+    assert len(pids) == processes and own in pids
+    # the command forked exactly the other processes that ran items: W - 1, fewer when items are fewer
+    forked = {kid for pid, _, kids in logged if pid == own for kid in kids.split(",") if kid} - before
+    assert forked == pids - {own}
+    assert not _children(os.getpid()) - before
+
+
+def _item_failing_in_one_process(item):
+    """Work item that raises in the process ``_FAIL_IN`` names once another process has cached an item.
+
+    Every item that finishes logs its replicate to ``_LOG``.
+    """
+    if (os.getpid() == _COMMAND_PID) == (_FAIL_IN == "parent"):
+        _wait_for(lambda: list(_CACHE_ROOT.rglob("*.json")), "an item cached by another process")
+        raise ValueError(f"item failed in the {_FAIL_IN}")
+    result = _sim_item(item)
+    with open(_LOG, "a", encoding="utf-8") as log:
+        log.write(f"{item[1]}\n")
+    return result
+
+
+@pytest.mark.parametrize("fail_in", ["worker", "parent"])
+def test_simulate_error_in_an_item_stops_every_process_and_keeps_finished_items(tmp_path, monkeypatch, capsys,
+                                                                                fail_in):
+    from glsae import runner
+
+    out, log = tmp_path / "o", tmp_path / "finished.log"
+    for name, value in (("_LOG", log), ("_COMMAND_PID", os.getpid()), ("_FAIL_IN", fail_in),
+                        ("_CACHE_ROOT", out / "cache")):
+        monkeypatch.setattr(sys.modules[__name__], name, value)
+    monkeypatch.setattr(runner, "_sim_item", _item_failing_in_one_process)
+    monkeypatch.setenv("GLSAE_WORKERS", "2")
+    before = _children(os.getpid())
+    assert main(_toy_simulate(7) + [str(out)]) == 2
+    assert _one_error_line(capsys) == f"glsae: error: item failed in the {fail_in}"
+    assert not _children(os.getpid()) - before
+    finished = sorted(int(rep) for rep in log.read_text().split())
+    assert finished
+    (key_dir,) = (out / "cache").iterdir()
+    assert sorted(p.name for p in key_dir.iterdir()) == [f"case1_row001_rep{rep:04d}.json" for rep in finished]
+
+    calls = []
+
+    def counted(item):
+        calls.append(item)
+        return _sim_item(item)
+
+    monkeypatch.setattr(runner, "_sim_item", counted)
+    monkeypatch.setenv("GLSAE_WORKERS", "1")  # every call in this process, where ``calls`` lives
+    assert main(_toy_simulate(7) + [str(out)]) == 0
+    assert len(calls) == 4 - len(finished)  # the finished items are read from the cache
+    monkeypatch.setattr(runner, "_sim_item", _sim_item)
+    assert main(_toy_simulate(7) + [str(tmp_path / "fresh")]) == 0
+    assert _run_outputs(out) == _run_outputs(tmp_path / "fresh")
+
+
+def _item_exiting_in_a_worker(item):
+    if os.getpid() != _COMMAND_PID:
+        os._exit(3)
+    return _sim_item(item)
+
+
+def test_simulate_reports_a_worker_that_ends_without_a_result(tmp_path, monkeypatch):
+    from glsae import runner
+
+    monkeypatch.setattr(sys.modules[__name__], "_COMMAND_PID", os.getpid())
+    monkeypatch.setattr(runner, "_sim_item", _item_exiting_in_a_worker)
+    monkeypatch.setenv("GLSAE_WORKERS", "2")
+    before = _children(os.getpid())
+    with pytest.raises(RuntimeError, match="ended in a worker without a result"):
+        main(_toy_simulate(8) + [str(tmp_path / "o")])
+    assert not _children(os.getpid()) - before
+
+
 @pytest.mark.parametrize("raw, expected", [(None, 1), ("2", 2), ("abc", None), ("0", None)])
 def test_worker_count_reads_glsae_workers(monkeypatch, raw, expected):
     if raw is None:
@@ -653,6 +776,9 @@ def test_simulate_rejects_rows_outside_the_grid_before_writing(tmp_path, capsys,
      "model 'msa' fits source column 1, but the panels have 1 source(s)"),
     (["--sources", "0", "--bootstrap-v"], "sources must be >= 1, got 0"),
     (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--models", "m12,one-source"],
+     "--models: 'one-source' fits a single source, but the panels have 2; name its column as mbr (column 0) or msa"),
+    (["--iters", "0"], "--iters must be >= 1, got 0"),
 ])
 def test_simulate_rejects_bad_settings_before_writing(tmp_path, monkeypatch, capsys, extra, message):
     monkeypatch.setenv("GLSAE_WORKERS", "2")
