@@ -255,7 +255,7 @@ class SamplerSettings:
             if value < 1:
                 raise ValueError(f"{option} must be >= 1, got {value}")
         if not 0 <= self.n_burnin < self.n_iter:
-            raise ValueError("need 0 <= n_burnin < n_iter")
+            raise ValueError(f"--burnin must be >= 0 and below --iters ({self.n_iter}), got {self.n_burnin}")
         unknown = set(self.monitor) - MONITORABLE
         if unknown:
             raise ValueError(f"unknown monitored quantities: {sorted(unknown)}")

@@ -6,11 +6,12 @@ selection); every emitted table carries the manifest hash, and re-running
 with the same configuration reproduces each file byte-exactly regardless
 of worker count. The evaluation driver caches one JSON file per
 (row, replicate) work item under ``cache/<key>/``, written as each item
-finishes, so an interrupted run resumes from the finished items and still
-produces identical tables. The key hashes the manifest payload together
-with a digest of the package source and the numpy version, so a run with
-another configuration or other code never reads them. Cache directories
-of other keys are named on stderr and left in place. Both commands check
+finishes, and builds its tables from those files alone, so an interrupted
+run resumes from the finished items and still produces identical tables.
+The key hashes the manifest payload together with a digest of the package
+source and the numpy version, so a run with another configuration or
+other code never reads them. Cache directories of other keys are named on
+stderr and left in place. Both commands check
 their inputs before the output directory is created: the models (each
 listed once), the simulation baseline, grid and row selection (every
 selected row must be in the grid), the panel, the sampler settings, the
@@ -22,20 +23,21 @@ Worker count comes from the GLSAE_WORKERS environment variable (default
 1; anything but an integer >= 1 is an error). Work items run in that many
 processes, the command's own among them and never more than there are
 items; each process claims the next item from a shared counter and caches
-it as soon as it finishes. Every item derives its streams from its own
-coordinates and the tables are built in spec order, so scheduling cannot
-leak into the results.
+it as soon as it finishes. A worker only writes cache files; its pipe to
+the command's process carries nothing but its first exception. Every item
+derives its streams from its own coordinates and the tables are built in
+spec order from the cache, so scheduling cannot leak into the results.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing.connection
+import multiprocessing
 import os
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -245,7 +247,7 @@ def run_fit(config: FitConfig) -> dict:
     if not config.models:
         raise ValueError("no model to fit")
     if not 0.0 < config.level < 1.0:
-        raise ValueError("level must be in (0, 1)")
+        raise ValueError(f"--level must be in (0, 1), got {config.level}")
     panel = load_panel(config.panel_path)
     payload = config.to_payload()
     stamp = manifest_hash(payload)
@@ -267,7 +269,7 @@ def run_fit(config: FitConfig) -> dict:
     for tag in config.models:
         model = variant(tag)
         if model in fits:
-            raise ValueError(f"model {model.tag!r} is listed twice")
+            raise ValueError(f"--model: model {model.tag!r} is listed twice")
         fits[model] = _fit_panel_for(model, panel, source)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -375,11 +377,7 @@ def _sim_item(args) -> tuple[int, int, dict[str, dict]]:
             stream_base=derive_stream_id(spec.case_id, spec.row, rep, _STREAM_MODEL0 + t_idx),
         )["mu"]
         estimate = mu.reshape(-1, mu.shape[-1]).mean(axis=0)
-        sc = score(estimate, data.truth_mu)
-        out[target.name] = {
-            "arb": sc.arb, "asrb": sc.asrb, "aad": sc.aad, "asd": sc.asd,
-            "n_nonpositive_truth": sc.n_nonpositive_truth,
-        }
+        out[target.name] = asdict(score(estimate, data.truth_mu))
     return spec.row, rep, out
 
 
@@ -406,78 +404,47 @@ def _load_cached(path: Path, targets) -> dict[str, dict] | None:
     return None
 
 
-def _run_item(item, cache_dir: Path, case: int) -> tuple[int, int, dict[str, dict]]:
-    """Run one work item and cache its scores; returns what ``_sim_item`` returns."""
-    row, rep, scores = _sim_item(item)
-    _write_cached(_cache_path(cache_dir, case, row, rep), scores)
-    return row, rep, scores
+def _claim_items(counter, items: list, cache_dir: Path, case: int) -> None:
+    """Claim the next unclaimed item from ``counter``, run it and cache it, until none is left.
 
-
-def _claim(counter) -> int:
-    """The index of the next unclaimed item (at least the item count once none is left)."""
-    with counter.get_lock():
-        k = counter.value
-        counter.value = k + 1
-    return k
-
-
-def _stop_claims(counter, n_items: int) -> None:
-    with counter.get_lock():
-        counter.value = n_items
+    On any exception, claiming stops for every process and the exception is re-raised.
+    """
+    try:
+        while True:
+            with counter.get_lock():
+                k = counter.value
+                counter.value = k + 1
+            if k >= len(items):
+                return
+            row, rep, scores = _sim_item(items[k])
+            _write_cached(_cache_path(cache_dir, case, row, rep), scores)
+    except BaseException:
+        counter.value = len(items)
+        raise
 
 
 def _item_worker(counter, items, conn, cache_dir: Path, case: int) -> None:
-    """A forked worker: run and cache the items it claims, sending each result on ``conn``.
-
-    Its first exception stops all claiming and is sent in place of a result.
-    """
+    """A forked worker: claim, run and cache items; its first exception is the one message on ``conn``."""
     try:
-        while (k := _claim(counter)) < len(items):
-            conn.send(_run_item(items[k], cache_dir, case))
+        _claim_items(counter, items, cache_dir, case)
     except BaseException as exc:  # the parent raises it; this process only reports it
-        _stop_claims(counter, len(items))
         with suppress(Exception):  # the parent is gone, or the exception does not pickle
             conn.send(exc)
     finally:
         conn.close()
 
 
-def _read_results(conns: list, done: dict, block: bool) -> None:
-    """Record the results waiting on the workers' pipes; raises a worker's exception.
-
-    With ``block``, reads until every worker has closed its pipe. A closed
-    pipe is closed here too and leaves ``conns``.
-    """
-    while conns:
-        ready = multiprocessing.connection.wait(conns, timeout=None if block else 0)
-        if not ready:
-            return
-        for conn in ready:
-            try:
-                result = conn.recv()
-            except EOFError:
-                conns.remove(conn)
-                conn.close()
-                continue
-            if isinstance(result, BaseException):
-                raise result
-            row, rep, scores = result
-            done[(row, rep)] = scores
-
-
-def _run_items(items: list, workers: int, cache_dir: Path, case: int) -> dict[tuple[int, int], dict[str, dict]]:
+def _run_items(items: list, workers: int, cache_dir: Path, case: int) -> None:
     """Run and cache ``items`` in ``min(workers, len(items))`` processes, this one among them.
 
     This process and the workers it forks each claim the next unclaimed
-    item from one shared counter, run it and cache it themselves. Workers
-    send their results, or their first exception, over a pipe that this
-    process reads between its own items. On any exception (this process's,
-    a worker's or an interrupt) claiming stops, every worker is joined and
-    the first error is raised. Returns the scores by (row, replicate).
+    item from one shared counter, run it and cache it themselves; the scores
+    reach the tables only through the cache. On any exception (this
+    process's, a worker's or an interrupt) claiming stops, every worker is
+    joined and the first error is raised, this process's before a worker's.
     """
     ctx = multiprocessing.get_context("fork")  # workers share this process's pages and see its patches
     counter = ctx.Value("i", 0)  # a fork-context lock is unlinked at once, so no resource tracker starts
-    done: dict[tuple[int, int], dict[str, dict]] = {}
     conns, procs = [], []
     try:
         for _ in range(min(workers, len(items)) - 1):
@@ -487,23 +454,18 @@ def _run_items(items: list, workers: int, cache_dir: Path, case: int) -> dict[tu
             writer.close()
             procs.append(proc)
             conns.append(reader)
-        while (k := _claim(counter)) < len(items):
-            row, rep, scores = _run_item(items[k], cache_dir, case)
-            done[(row, rep)] = scores
-            _read_results(conns, done, block=False)
-        _read_results(conns, done, block=True)
+        _claim_items(counter, items, cache_dir, case)
     finally:
-        _stop_claims(counter, len(items))
-        for conn in conns:  # unread results, so that no worker stays blocked on a full pipe
+        counter.value = len(items)
+        errors = []
+        for conn in conns:  # a worker's exception, or EOFError once it has ended without one
             with suppress(EOFError):
-                while True:
-                    conn.recv()
+                errors.append(conn.recv())
             conn.close()
         for proc in procs:
             proc.join()
-    if len(done) < len(items):
-        raise RuntimeError(f"{len(items) - len(done)} simulation item(s) ended in a worker without a result")
-    return done
+    if errors:
+        raise errors[0]
 
 
 def _code_digest() -> str:
@@ -523,9 +485,9 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     if workers is None:
         workers = worker_count()
     if config.n_replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {config.n_replicates}")
+        raise ValueError(f"--replicates must be >= 1, got {config.n_replicates}")
     if config.n_sources < 1:
-        raise ValueError(f"sources must be >= 1, got {config.n_sources}")
+        raise ValueError(f"--sources must be >= 1, got {config.n_sources}")
     # every replicate fit: a single chain monitoring mu
     settings = SamplerSettings(seed=config.seed, n_iter=config.n_iter, n_burnin=config.n_burnin,
                                monitor=frozenset({"mu"}))
@@ -536,10 +498,11 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     targets = tuple(parse_target(m) for m in config.models)
     base_name = config.resolved_baseline()
     names = [t.name for t in targets]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValueError(f"--models: model {name!r} is listed twice")
     if base_name not in names:
         raise ValueError(f"baseline {base_name!r} is not among the fitted models {names}")
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate model names")
     for target in targets:
         model = variant(target.tag)  # raises on an unknown model name
         if not model.has_theta_level and target.source_index is None and config.n_sources > 1:
@@ -590,17 +553,16 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
             file=sys.stderr,
         )
 
-    items = []
-    cached: dict[tuple[int, int], dict[str, dict]] = {}
-    for spec in specs:
-        for rep in range(config.n_replicates):
-            hit = _load_cached(_cache_path(cache_dir, config.case, spec.row, rep), targets)
-            if hit is not None:
-                cached[(spec.row, rep)] = hit
-            else:
-                items.append((spec, rep, targets, settings))
-
-    cached.update(_run_items(items, workers, cache_dir, config.case))
+    paths = {(spec.row, rep): _cache_path(cache_dir, config.case, spec.row, rep)
+             for spec in specs for rep in range(config.n_replicates)}
+    items = [(spec, rep, targets, settings) for spec in specs for rep in range(config.n_replicates)
+             if _load_cached(paths[spec.row, rep], targets) is None]
+    _run_items(items, workers, cache_dir, config.case)
+    # fresh and resumed items alike are read back from the cache
+    cached = {key: _load_cached(path, targets) for key, path in paths.items()}
+    missing = sum(scores is None for scores in cached.values())
+    if missing:
+        raise RuntimeError(f"{missing} simulation item(s) ended in a worker without a result")
 
     # aggregate medians per (row, model)
     agg: dict[str, dict[int, FitScore]] = {name: {} for name in names}

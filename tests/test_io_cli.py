@@ -229,6 +229,8 @@ _FIT_REFUSALS = [
     (None, "m12", ["--seed", "-5"], "--seed must be >= 0, got -5"),
     (None, "m12", ["--chains", "0"], "--chains must be >= 1, got 0"),
     (None, "m12", ["--thin", "0"], "--thin must be >= 1, got 0"),
+    (None, "m12", ["--burnin", "-1"], "--burnin must be >= 0 and below --iters (50), got -1"),
+    (None, "m12", ["--level", "0"], "--level must be in (0, 1), got 0.0"),
 ]
 
 
@@ -396,8 +398,9 @@ def test_simulate_command_deterministic_across_workers(tmp_path, monkeypatch):
         assert b1 == (out3 / name).read_bytes(), name
 
 
-def test_simulate_resume_from_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("GLSAE_WORKERS", "1")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_resume_from_cache(tmp_path, monkeypatch, workers):
+    monkeypatch.setenv("GLSAE_WORKERS", workers)
     args = [
         "simulate", "--case", "6", "--rows", "1,2", "--replicates", "2",
         "--models", "m1a,mbr", "--baseline", "m1a",
@@ -745,7 +748,7 @@ def test_simulate_rejects_unknown_baseline(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("models, message", [
-    ("m1a,m12,m1a", "duplicate model names"),
+    ("m1a,m12,m1a", "--models: model 'm1a' is listed twice"),
     ("m1a,m12,zzz", "unknown variant tag 'zzz'"),
 ])
 def test_simulate_rejects_bad_model_list_before_writing(tmp_path, capsys, models, message):
@@ -771,7 +774,7 @@ def test_simulate_rejects_rows_outside_the_grid_before_writing(tmp_path, capsys,
 
 @pytest.mark.parametrize("extra, message", [
     (["--replicates", "0"], "replicates must be >= 1, got 0"),
-    (["--iters", "10", "--burnin", "20"], "need 0 <= n_burnin < n_iter"),
+    (["--iters", "10", "--burnin", "20"], "--burnin must be >= 0 and below --iters (10), got 20"),
     (["--sources", "1", "--bootstrap-v", "--models", "m1a,msa", "--baseline", "m1a"],
      "model 'msa' fits source column 1, but the panels have 1 source(s)"),
     (["--sources", "0", "--bootstrap-v"], "sources must be >= 1, got 0"),
@@ -779,6 +782,9 @@ def test_simulate_rejects_rows_outside_the_grid_before_writing(tmp_path, capsys,
     (["--models", "m12,one-source"],
      "--models: 'one-source' fits a single source, but the panels have 2; name its column as mbr (column 0) or msa"),
     (["--iters", "0"], "--iters must be >= 1, got 0"),
+    (["--models", "m1a,m1a"], "--models: model 'm1a' is listed twice"),
+    (["--replicates", "-2"], "--replicates must be >= 1, got -2"),
+    (["--sources", "-1", "--bootstrap-v"], "--sources must be >= 1, got -1"),
 ])
 def test_simulate_rejects_bad_settings_before_writing(tmp_path, monkeypatch, capsys, extra, message):
     monkeypatch.setenv("GLSAE_WORKERS", "2")
