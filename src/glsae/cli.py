@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -124,8 +125,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if not (math.isfinite(args.threshold) and args.threshold > 1.0):
+        raise ValueError(f"--threshold must be a finite number above 1, got {args.threshold!r}")
     droot = Path(args.draws)
     meta = json.loads((droot / "meta.json").read_text(encoding="utf-8"))
+    saved = meta["quantities"]
+    if args.quantity not in saved:
+        raise ValueError(f"--quantity: {args.quantity!r} is not saved in {droot}; saved: {', '.join(saved)}")
     arr = np.load(droot / f"{args.quantity}.npy")
     if arr.shape[0] < 2:
         raise ValueError("diagnose needs at least 2 chains")

@@ -1,4 +1,4 @@
-"""Random variates and log densities for every distribution the samplers need.
+"""Random variates for every distribution the samplers need.
 
 Parameterizations
 -----------------
@@ -14,17 +14,8 @@ Parameterizations
   ``x ~ IG(1/2, 1)`` then ``sqrt(u)`` is standard half-Cauchy.
 * The "lasso" variance law is Exp(1) on the variance itself.
 
-Normalization conventions for :func:`logpdf` (fixed; the verification
-code only ever uses ratios where a kernel is unnormalized):
-
-========== =============================================================
-normal       exact log density
-inverse_gamma exact log density
-half_cauchy  exact log density
-lasso        ``-x`` (coincides with the exact Exp(1) log density)
-gig          kernel ``(order-1)*log x - (chi/x + psi*x)/2``
-horseshoe    kernel ``-0.5*log x - log1p(x)`` (exact minus ``log pi``)
-========== =============================================================
+The log densities and the normal and squared-half-Cauchy samplers that
+only the tests use are in ``tests/reference.py``.
 
 Samplers floor their output at 1e-300 purely to avoid returning an exact
 zero from underflow; there is no statistical flooring.
@@ -82,17 +73,6 @@ class GigParams:
             raise ValueError("GIG order must be one finite scalar")
         if np.any(~np.isfinite(chi)) or np.any(chi <= 0) or np.any(~np.isfinite(psi)) or np.any(psi <= 0):
             raise ValueError("GIG chi and psi must be finite and > 0")
-
-
-def sample_normal(mean, variance, rng: RngStream):
-    """Draw N(mean, variance); variance may be zero (returns the mean)."""
-    mean = np.asarray(mean, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    if np.any(variance < 0) or np.any(~np.isfinite(variance)):
-        raise ValueError("variance must be finite and >= 0")
-    shape = np.broadcast_shapes(mean.shape, variance.shape)
-    draw = mean + np.sqrt(variance) * rng.generator.standard_normal(shape)
-    return float(draw) if draw.ndim == 0 else draw
 
 
 def _invgamma_raw(shape: float, rate: float, gen) -> float:
@@ -279,62 +259,3 @@ def sample_gig(p: GigParams, rng: RngStream):
     out = _gig_raw(float(p.order), np.asarray(p.chi, dtype=float), np.asarray(p.psi, dtype=float), rng.generator)
     return float(out) if np.ndim(out) == 0 else out
 
-
-def sample_halfcauchy_sq(rng: RngStream, size=None):
-    """Draw the squared-half-Cauchy variance together with its mixing variable.
-
-    Returns ``(v, x)`` where ``x ~ IG(1/2, 1)`` and ``v | x ~ IG(1/2, 1/x)``,
-    so that sqrt(v) is marginally standard half-Cauchy.
-    """
-    gen = rng.generator
-    x = _invgamma_of(1.0, gen.standard_gamma(0.5, size))
-    return _invgamma_of(1.0 / x, gen.standard_gamma(0.5, size)), x
-
-
-def logpdf(dist: str, params, x) -> float | np.ndarray:
-    """Log density of ``dist`` at ``x`` under the documented conventions.
-
-    ``params`` is ``(mean, variance)`` for "normal", an
-    :class:`InverseGammaParams` for "inverse_gamma", a :class:`GigParams`
-    for "gig" and unused (pass None) for "horseshoe", "lasso" and
-    "half_cauchy". Points outside the support return ``-inf``.
-    """
-    x = np.asarray(x, dtype=float)
-    if dist == "normal":
-        mean, variance = params
-        if variance <= 0:
-            raise ValueError("normal logpdf needs variance > 0")
-        out = -0.5 * (math.log(2.0 * math.pi * variance)) - (x - mean) ** 2 / (2.0 * variance)
-    elif dist == "inverse_gamma":
-        params.validate()
-        shape, rate = params.shape, params.rate
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(
-                x > 0,
-                shape * np.log(rate)
-                - math.lgamma(shape)
-                - (shape + 1.0) * np.log(np.where(x > 0, x, 1.0))
-                - rate / np.where(x > 0, x, 1.0),
-                -np.inf,
-            )
-    elif dist == "gig":
-        params.validate()
-        order, chi, psi = params.order, params.chi, params.psi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = np.where(x > 0, x, 1.0)
-            out = np.where(
-                x > 0,
-                (order - 1.0) * np.log(xs) - 0.5 * (chi / xs + psi * xs),
-                -np.inf,
-            )
-    elif dist == "horseshoe":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = np.where(x > 0, x, 1.0)
-            out = np.where(x > 0, -0.5 * np.log(xs) - np.log1p(xs), -np.inf)
-    elif dist == "lasso":
-        out = np.where(x >= 0, -x, -np.inf)
-    elif dist == "half_cauchy":
-        out = np.where(x >= 0, math.log(2.0 / math.pi) - np.log1p(x**2), -np.inf)
-    else:
-        raise ValueError(f"unknown distribution id: {dist!r}")
-    return float(out) if np.ndim(out) == 0 else out

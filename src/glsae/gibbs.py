@@ -2,10 +2,11 @@
 
 Each sweep draws the Gaussian coordinates as one exact block given the
 variances, then the local variances, then the global variances (the
-one-source variant has no th level). Every conditional is written below
-as a parameter function (``*_conditional``), used by the verification
-suite to compare the sampled kernel against the joint density; the
-sweep draws from the same moments.
+one-source variant has no th level). Each conditional's parameters come
+from one private kernel below (a moment function, or a variance's form and
+law), and the sweep draws from them. The parameter functions of
+``tests/reference.py`` (``*_conditional``) call the same kernels, so the
+tests compare the sweep's own arithmetic against the joint density.
 
 Gaussian block (two-source variants; a_ij is the variant's source-level
 variance, A_i = lam_i * tau2_sq, and s2, h2, ybar come from
@@ -46,7 +47,8 @@ and a lasso variance (the local ones of m11b, m1b) from
 The clamp keeps the GIG valid when q is exactly zero, a probability-zero
 event in exact arithmetic. The tau rates sum over all areas/sources and
 the tau2 rate uses the mu-level residual; both follow from completing the
-square in the joint and are confirmed against the brute-force oracle.
+square in the joint and are confirmed against the tests' brute-force
+oracle (``tests/oracle.py``).
 
 Draw order of one sweep (a variant skips the quantities it lacks):
 
@@ -80,7 +82,7 @@ import numpy as np
 
 from . import summary as _summary
 from .distributions import (
-    _ONE_0D, _TWO_0D, GigParams, InverseGammaParams, _gig_half_runs, _gig_raw, _invgamma_of, _invgamma_raw,
+    _ONE_0D, _TWO_0D, _gig_half_runs, _gig_raw, _invgamma_of, _invgamma_raw,
 )
 from .model import ChainState, ModelVariant, SamplerSettings, SourcePanel, init_state, unit_state, variant
 from .rng import RngStream
@@ -157,8 +159,9 @@ def _workspace(tag: str, I: int, J: int) -> _Workspace:
 # without its Python-level wrapper, and np.reciprocal(x) is 1.0 / x to the
 # bit without converting the Python 1.0, so both keep the draws' bits. Each
 # function below writes its array results into the buffers it is given (the
-# sweep's workspace); without them, as from the ``*_conditional`` wrappers,
-# numpy allocates fresh ones. A ufunc gives the same bits either way.
+# sweep's workspace); without them, as from the ``*_conditional`` functions
+# of tests/reference.py, numpy allocates fresh ones. A ufunc gives the same
+# bits either way.
 
 
 def _collapsed(state: ChainState, panel: SourcePanel, model: ModelVariant, out=None) -> tuple:
@@ -191,29 +194,6 @@ def _theta_moments(a, mu: np.ndarray, panel: SourcePanel, mean=None, var=None):
     np.add(panel.y_over_v, mean, out=mean)
     np.divide(mean, prec, out=mean)
     return mean, np.reciprocal(prec, out=prec)
-
-
-def eta_collapsed_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
-    """Mean and variance of eta given only the variances (th and mu integrated out).
-
-    Marginally ybar_i ~ N(eta, A_i + h2_i); the flat prior makes the draw a
-    precision-weighted mean of the pooled area estimates.
-    """
-    _, _, h2, ybar, A = _collapsed(state, panel, model)
-    return _eta_moments(h2, ybar, A)
-
-
-def mu_collapsed_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
-    """Mean and variance of mu given eta, y and the variances (th integrated out), each (I,)."""
-    _, _, h2, ybar, A = _collapsed(state, panel, model)
-    return _mu_moments(h2, ybar, A, state.eta)
-
-
-def theta_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
-    """Mean and variance of the th conditional, each (I, J)."""
-    if not model.has_theta_level:
-        raise ValueError("one_source has no th level")
-    return _theta_moments(_collapsed(state, panel, model)[0], state.mu, panel)
 
 
 def _residuals(state: ChainState, model: ModelVariant, r=None, d=None):
@@ -284,15 +264,6 @@ def _xi_rate(lam, out=None):
     return np.add(np.reciprocal(lam, out=out), _ONE_0D, out=out)
 
 
-def _law(prior: str, n, q, xi):
-    """Conditional law of a variance scaling n normal terms with quadratic form q."""
-    if prior == "lasso":
-        order, chi = _gig_law(n, q)
-        return GigParams(order=order, chi=chi, psi=2.0)
-    shape, rate = _ig_law(n, q, xi)
-    return InverseGammaParams(shape=shape, rate=rate)
-
-
 def _global_draw(n, q: float, xi: float, gen) -> tuple[float, float]:
     """A global variance from its horseshoe law, then its renewed xi, as Python floats."""
     shape, rate = _ig_law(n, q, xi)
@@ -308,33 +279,6 @@ def _horseshoe_pair(rate, g, g_xi, t):
     """
     draw = _invgamma_of(rate, g, out=g)
     return draw, _invgamma_of(_xi_rate(draw, out=t), g_xi, out=g_xi)
-
-
-def lambda_ij_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
-    """IG (horseshoe) or GIG (lasso) parameters of lam_ij, each (I, J)."""
-    r, _ = _residuals(state, model)
-    return _law(model.local_prior, *_lambda_ij_form(state, model, r), state.xi_ij)
-
-
-def lambda_i_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant):
-    """IG (horseshoe) or GIG (lasso) parameters of lam_i, each (I,)."""
-    r, d = _residuals(state, model)
-    return _law(model.local_prior, *_lambda_i_form(state, panel, model, r, d), state.xi_i)
-
-
-def tau1_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant) -> InverseGammaParams:
-    r, _ = _residuals(state, model)
-    return _law("horseshoe", *_tau1_form(state, model, r), state.xi_tau1)
-
-
-def tau2_conditional(state: ChainState, panel: SourcePanel, model: ModelVariant) -> InverseGammaParams:
-    _, d = _residuals(state, model)
-    return _law("horseshoe", *_tau2_form(state, d), state.xi_tau2)
-
-
-def xi_conditional(lam) -> InverseGammaParams:
-    """Mixing-variable conditional after a horseshoe variance draw."""
-    return InverseGammaParams(shape=1.0, rate=_xi_rate(np.asarray(lam, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

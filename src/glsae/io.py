@@ -111,12 +111,6 @@ def _numbered_records(path) -> list[tuple[int, list[str]]]:
     return records
 
 
-def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV written by :func:`write_table`, skipping comment lines."""
-    records = [r for _, r in _numbered_records(path)]
-    return records[0], records[1:]
-
-
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

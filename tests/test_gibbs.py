@@ -4,27 +4,30 @@ import numpy as np
 import pytest
 
 from conftest import random_positive_state
-from glsae.distributions import logpdf, GigParams, InverseGammaParams
+from glsae.distributions import GigParams, InverseGammaParams
 from glsae.gibbs import (
     SamplerDivergence,
     _residuals,
+    run_chains,
+    sweep,
+    update_gaussian_block,
+    update_global_variances,
+)
+from glsae.model import SamplerSettings, SourcePanel, init_state, variant
+from glsae.rng import RngStream
+from glsae.summary import source_variance
+from oracle import log_joint
+from reference import (
     eta_collapsed_conditional,
     lambda_i_conditional,
     lambda_ij_conditional,
+    logpdf,
     mu_collapsed_conditional,
-    run_chains,
-    sweep,
     tau1_conditional,
     tau2_conditional,
     theta_conditional,
-    update_gaussian_block,
-    update_global_variances,
     xi_conditional,
 )
-from glsae.model import SamplerSettings, SourcePanel, init_state, variant
-from glsae.oracle import log_joint
-from glsae.rng import RngStream
-from glsae.summary import source_variance
 
 
 # the kernel checks run on the 3 x 2 fixture, then with these sources

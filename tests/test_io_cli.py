@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from glsae.cli import main
-from glsae.io import PanelFormatError, fmt, load_panel, save_panel, read_table
+from glsae.io import PanelFormatError, fmt, load_panel, save_panel
 from glsae.runner import PRESETS, SimConfig, _sim_item, worker_count
 from glsae.summary import DRAW_BLOCK, kappa_weights
+from reference import read_table
 
 
 def _write_panel(path, rows, header="area,source,estimate,se"):
@@ -211,32 +212,51 @@ def test_fit_one_source_needs_source_flag(tmp_path, panel_file, capsys):
     assert len(rows) == 8
 
 
+_UNKNOWN_TAG = "unknown variant tag 'zzz'; expected one of ('m11a', 'm11b', 'm1a', 'm1b', 'm12', 'one_source')"
+# The refusal cases carry fixed ids, the names they were first collected
+# under, and match the whole error line: rewording a message fails its case
+# but renames no test.
 _FIT_REFUSALS = [
-    ("missing.csv", "m12", [], "No such file or directory: 'missing.csv'"),
-    (None, "m12,zzz", [], "unknown variant tag 'zzz'"),
-    (None, "m12,one-source", [], "needs --source"),
-    (None, "m12", ["--level", "1.5"], "level must be in (0, 1)"),
-    (None, "m1a,m12,m1a", [], "model 'm1a' is listed twice"),
-    (None, "one-source,one_source", ["--source", "brfss"], "model 'one_source' is listed twice"),
-    (None, "m12", ["--chains", "2", "--iters", "5", "--burnin", "2"],
-     "split-R-hat needs at least 4 kept draws per chain, got 3"),
-    (None, "m12", ["--iters", "30", "--burnin", "10", "--thin", "50"],
-     "a posterior sd needs at least 2 kept draws per chain, got 1"),
-    (None, "", [], "no model to fit"),
-    (None, ",", [], "no model to fit"),
-    (None, "one-source", ["--source", "-1"], "unknown source '-1'; panel has ('brfss', 'sahie')"),
-    (None, "m12", ["--source", "zzz"], "--source: unknown source 'zzz'; panel has ('brfss', 'sahie')"),
-    (None, "m12", ["--seed", "-5"], "--seed must be >= 0, got -5"),
-    (None, "m12", ["--chains", "0"], "--chains must be >= 1, got 0"),
-    (None, "m12", ["--thin", "0"], "--thin must be >= 1, got 0"),
-    (None, "m12", ["--burnin", "-1"], "--burnin must be >= 0 and below --iters (50), got -1"),
-    (None, "m12", ["--level", "0"], "--level must be in (0, 1), got 0.0"),
+    pytest.param("missing.csv", "m12", [], "[Errno 2] No such file or directory: 'missing.csv'",
+                 id="missing.csv-m12-No such file or directory: 'missing.csv'"),
+    pytest.param(None, "m12,zzz", [], _UNKNOWN_TAG, id="None-m12,zzz-unknown variant tag 'zzz'"),
+    pytest.param(None, "m12,one-source", [], "one_source on a multi-source panel needs --source",
+                 id="None-m12,one-source-needs --source"),
+    pytest.param(None, "m12", ["--level", "1.5"], "--level must be in (0, 1), got 1.5",
+                 id="None-m12-level must be in (0, 1)"),
+    pytest.param(None, "m1a,m12,m1a", [], "--model: model 'm1a' is listed twice",
+                 id="None-m1a,m12,m1a-model 'm1a' is listed twice"),
+    pytest.param(None, "one-source,one_source", ["--source", "brfss"],
+                 "--model: model 'one_source' is listed twice",
+                 id="None-one-source,one_source-model 'one_source' is listed twice"),
+    pytest.param(None, "m12", ["--chains", "2", "--iters", "5", "--burnin", "2"],
+                 "split-R-hat needs at least 4 kept draws per chain, got 3",
+                 id="None-m12-split-R-hat needs at least 4 kept draws per chain, got 3"),
+    pytest.param(None, "m12", ["--iters", "30", "--burnin", "10", "--thin", "50"],
+                 "a posterior sd needs at least 2 kept draws per chain, got 1",
+                 id="None-m12-a posterior sd needs at least 2 kept draws per chain, got 1"),
+    pytest.param(None, "", [], "no model to fit", id="None--no model to fit"),
+    pytest.param(None, ",", [], "no model to fit", id="None-,-no model to fit"),
+    pytest.param(None, "one-source", ["--source", "-1"],
+                 "--source: unknown source '-1'; panel has ('brfss', 'sahie')",
+                 id="None-one-source-unknown source '-1'; panel has ('brfss', 'sahie')"),
+    pytest.param(None, "m12", ["--source", "zzz"],
+                 "--source: unknown source 'zzz'; panel has ('brfss', 'sahie')",
+                 id="None-m12---source: unknown source 'zzz'; panel has ('brfss', 'sahie')"),
+    pytest.param(None, "m12", ["--seed", "-5"], "--seed must be >= 0, got -5",
+                 id="None-m12---seed must be >= 0, got -5"),
+    pytest.param(None, "m12", ["--chains", "0"], "--chains must be >= 1, got 0",
+                 id="None-m12---chains must be >= 1, got 0"),
+    pytest.param(None, "m12", ["--thin", "0"], "--thin must be >= 1, got 0",
+                 id="None-m12---thin must be >= 1, got 0"),
+    pytest.param(None, "m12", ["--burnin", "-1"], "--burnin must be >= 0 and below --iters (50), got -1",
+                 id="None-m12---burnin must be >= 0 and below --iters (50), got -1"),
+    pytest.param(None, "m12", ["--level", "0"], "--level must be in (0, 1), got 0.0",
+                 id="None-m12---level must be in (0, 1), got 0.0"),
 ]
 
 
-@pytest.mark.parametrize(
-    "panel, models, extra, message", _FIT_REFUSALS, ids=[f"{p}-{m}-{msg}" for p, m, _, msg in _FIT_REFUSALS]
-)
+@pytest.mark.parametrize("panel, models, extra, message", _FIT_REFUSALS)
 def test_fit_rejects_bad_input_before_writing(
     tmp_path, panel_file, capsys, monkeypatch, panel, models, extra, message
 ):
@@ -246,7 +266,7 @@ def test_fit_rejects_bad_input_before_writing(
         "fit", "--panel", panel or str(panel_file), "--model", models,
         "--iters", "50", "--burnin", "10", "--seed", "1", "--out", str(out), *extra,
     ]) == 2
-    assert message in _one_error_line(capsys)
+    assert _one_error_line(capsys) == f"glsae: error: {message}"
     assert not out.exists()
 
 
@@ -305,6 +325,32 @@ def test_diagnose_refuses_one_chain_in_one_line(tmp_path, panel_file, capsys):
     capsys.readouterr()
     assert main(["diagnose", "--draws", str(out / "draws" / "m12")]) == 2
     assert "diagnose needs at least 2 chains" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("extra, message", [
+    pytest.param(["--threshold", "nan"], "--threshold must be a finite number above 1, got nan",
+                 id="threshold-nan"),
+    pytest.param(["--threshold", "inf"], "--threshold must be a finite number above 1, got inf",
+                 id="threshold-inf"),
+    pytest.param(["--threshold", "1"], "--threshold must be a finite number above 1, got 1.0",
+                 id="threshold-one"),
+    pytest.param(["--threshold", "0.98"], "--threshold must be a finite number above 1, got 0.98",
+                 id="threshold-below-one"),
+    pytest.param(["--quantity", "theta"],
+                 "--quantity: 'theta' is not saved in {draws}; saved: eta, lambda_i, mu, phi, tau1_sq, tau2_sq",
+                 id="quantity-unsaved"),
+])
+def test_diagnose_refuses_bad_options_before_writing(tmp_path, panel_file, capsys, extra, message):
+    out = tmp_path / "fit"
+    assert main([
+        "fit", "--panel", str(panel_file), "--model", "m12", "--chains", "2",
+        "--iters", "30", "--burnin", "10", "--seed", "7", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    draws, report = out / "draws" / "m12", tmp_path / "rhat.csv"
+    assert main(["diagnose", "--draws", str(draws), "--out", str(report), *extra]) == 2
+    assert _one_error_line(capsys) == "glsae: error: " + message.format(draws=draws)
+    assert not report.exists()
 
 
 def test_diagnose_command(tmp_path, panel_file, capsys):
@@ -748,13 +794,14 @@ def test_simulate_rejects_unknown_baseline(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("models, message", [
-    ("m1a,m12,m1a", "--models: model 'm1a' is listed twice"),
-    ("m1a,m12,zzz", "unknown variant tag 'zzz'"),
+    pytest.param("m1a,m12,m1a", "--models: model 'm1a' is listed twice",
+                 id="m1a,m12,m1a---models: model 'm1a' is listed twice"),
+    pytest.param("m1a,m12,zzz", _UNKNOWN_TAG, id="m1a,m12,zzz-unknown variant tag 'zzz'"),
 ])
 def test_simulate_rejects_bad_model_list_before_writing(tmp_path, capsys, models, message):
     out = tmp_path / "x"
     assert main(_toy_simulate(3) + [str(out), "--models", models, "--baseline", "m1a"]) == 2
-    assert message in _one_error_line(capsys)
+    assert _one_error_line(capsys) == f"glsae: error: {message}"
     assert not out.exists()
 
 
@@ -773,24 +820,34 @@ def test_simulate_rejects_rows_outside_the_grid_before_writing(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("extra, message", [
-    (["--replicates", "0"], "replicates must be >= 1, got 0"),
-    (["--iters", "10", "--burnin", "20"], "--burnin must be >= 0 and below --iters (10), got 20"),
-    (["--sources", "1", "--bootstrap-v", "--models", "m1a,msa", "--baseline", "m1a"],
-     "model 'msa' fits source column 1, but the panels have 1 source(s)"),
-    (["--sources", "0", "--bootstrap-v"], "sources must be >= 1, got 0"),
-    (["--seed", "-1"], "--seed must be >= 0, got -1"),
-    (["--models", "m12,one-source"],
-     "--models: 'one-source' fits a single source, but the panels have 2; name its column as mbr (column 0) or msa"),
-    (["--iters", "0"], "--iters must be >= 1, got 0"),
-    (["--models", "m1a,m1a"], "--models: model 'm1a' is listed twice"),
-    (["--replicates", "-2"], "--replicates must be >= 1, got -2"),
-    (["--sources", "-1", "--bootstrap-v"], "--sources must be >= 1, got -1"),
+    pytest.param(["--replicates", "0"], "--replicates must be >= 1, got 0",
+                 id="extra0-replicates must be >= 1, got 0"),
+    pytest.param(["--iters", "10", "--burnin", "20"], "--burnin must be >= 0 and below --iters (10), got 20",
+                 id="extra1---burnin must be >= 0 and below --iters (10), got 20"),
+    pytest.param(["--sources", "1", "--bootstrap-v", "--models", "m1a,msa", "--baseline", "m1a"],
+                 "model 'msa' fits source column 1, but the panels have 1 source(s)",
+                 id="extra2-model 'msa' fits source column 1, but the panels have 1 source(s)"),
+    pytest.param(["--sources", "0", "--bootstrap-v"], "--sources must be >= 1, got 0",
+                 id="extra3-sources must be >= 1, got 0"),
+    pytest.param(["--seed", "-1"], "--seed must be >= 0, got -1", id="extra4---seed must be >= 0, got -1"),
+    pytest.param(["--models", "m12,one-source"],
+                 "--models: 'one-source' fits a single source, but the panels have 2; "
+                 "name its column as mbr (column 0) or msa (column 1)",
+                 id="extra5---models: 'one-source' fits a single source, but the panels have 2; "
+                    "name its column as mbr (column 0) or msa"),
+    pytest.param(["--iters", "0"], "--iters must be >= 1, got 0", id="extra6---iters must be >= 1, got 0"),
+    pytest.param(["--models", "m1a,m1a"], "--models: model 'm1a' is listed twice",
+                 id="extra7---models: model 'm1a' is listed twice"),
+    pytest.param(["--replicates", "-2"], "--replicates must be >= 1, got -2",
+                 id="extra8---replicates must be >= 1, got -2"),
+    pytest.param(["--sources", "-1", "--bootstrap-v"], "--sources must be >= 1, got -1",
+                 id="extra9---sources must be >= 1, got -1"),
 ])
 def test_simulate_rejects_bad_settings_before_writing(tmp_path, monkeypatch, capsys, extra, message):
     monkeypatch.setenv("GLSAE_WORKERS", "2")
     out = tmp_path / "x"
     assert main(_toy_simulate(3) + [str(out), *extra]) == 2
-    assert message in _one_error_line(capsys)
+    assert _one_error_line(capsys) == f"glsae: error: {message}"
     assert not out.exists()
 
 

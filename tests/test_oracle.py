@@ -5,10 +5,11 @@ import pytest
 from scipy import stats
 
 from conftest import random_positive_state
-from glsae.gibbs import sweep, xi_conditional
+from glsae.gibbs import sweep
 from glsae.distributions import sample_inverse_gamma
 from glsae.model import SourcePanel, init_state, variant
-from glsae.oracle import (
+from glsae.rng import RngStream
+from oracle import (
     CoordLayout,
     TinyInstance,
     log_joint,
@@ -16,7 +17,7 @@ from glsae.oracle import (
     metropolis_posterior,
     tiny_battery,
 )
-from glsae.rng import RngStream
+from reference import xi_conditional
 
 
 def test_battery_shapes():

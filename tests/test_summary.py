@@ -4,16 +4,8 @@ import pytest
 from glsae.gibbs import run_chains
 from glsae.model import SamplerSettings, SourcePanel, variant
 from glsae.rng import RngStream
-from glsae.summary import (
-    DRAW_BLOCK,
-    conditional_mean_direct,
-    conditional_mean_joint_solve,
-    decompose,
-    kappa_weights,
-    phi_distribution,
-    phi_draws,
-    summarize,
-)
+from glsae.summary import DRAW_BLOCK, decompose, kappa_weights, phi_distribution, phi_draws, summarize
+from reference import conditional_mean_direct, conditional_mean_joint_solve
 
 
 def _random_variances(panel, model, gen):
