@@ -135,6 +135,33 @@ def test_outputs_match_recorded_digests(tmp_path, monkeypatch):
     assert _run_golden(tmp_path, monkeypatch) == GOLDEN
 
 
+# GOLDEN's simulate fits two models, so it writes one ratio pair and no
+# best-count table; this four-model, two-row run (baseline m12) writes
+# three ratio pairs and all four tables.
+SIM_GOLDEN = {
+    "cache/case1_row001_rep0000.json": "32e40c32ea3a9fbd964d9858cd62e75cbd09a51130a41aa85909486f261a7d4f",
+    "cache/case1_row001_rep0001.json": "5e5d24ed772cb9f38b4c4efe79abdf2da13162a4549e48059a620adcd1c90b1f",
+    "cache/case1_row004_rep0000.json": "edc0118c626ecf0266b0df7253b7c9291663563d278d0a463698479f4cd6c100",
+    "cache/case1_row004_rep0001.json": "026770f5a7d568e5d4c53307447b41ab2dd85e75058e856d59399ef61ce31cc8",
+    "case1_best_counts.csv": "ed9c132d40341fe151a5cb69b99d725b57ca8b3b1af6bffbd238fd49baf77337",
+    "case1_medians.csv": "0c974bc47e0df6ef2021c2541c4b911be1d2b94c422f02503af9c71dab854760",
+    "case1_ratio_by_spec.csv": "313c3f0af11f03ca68eb41a2fa7eab8d809b9e9a898cf382b6124fb51a3c5374",
+    "case1_ratio_summary.csv": "bf460e5e84089cd451da475b23110b98376b94fdab78b569fef92eba43a479c5",
+    "manifest.json": "f80c39acb66a985a568c3bcc306caebe64c4007b9337dc939da024a48eaef834",
+}
+
+
+def test_multi_model_simulate_matches_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GLSAE_WORKERS", "1")
+    assert main([
+        "simulate", "--case", "1", "--rows", "1,4", "--replicates", "2",
+        "--models", "m1a,m1b,m12,mbr", "--iters", "60", "--burnin", "20",
+        "--seed", "3", "--out", "sim",
+    ]) == 0
+    assert _digests(Path("sim")) == SIM_GOLDEN
+
+
 # One chain state per variant, taken after three sweeps from a dispersed
 # start: the digest covers every ChainState field and the stream's
 # bit-generator state, so it pins the initial state, the jitter order and

@@ -160,6 +160,29 @@ def test_fit_command_outputs_and_determinism(tmp_path, panel_file):
         assert hashlib.sha256((out1 / rel).read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fit", "--model", "m11b,m1a,one-source", "--source", "brfss", "--chains", "2"], id="fit"),
+    pytest.param(["fit", "--model", "m11b,m1a,one-source", "--source", "brfss", "--chains", "2", "--no-draws"],
+                 id="fit-no-draws"),
+    pytest.param(["simulate", "--case", "1", "--rows", "1,4", "--replicates", "2", "--models", "m1a,m1b,m12,mbr"],
+                 id="simulate"),
+])
+def test_manifest_lists_every_output_and_stamps_every_table(tmp_path, panel_file, monkeypatch, argv):
+    """Every file under --out but cache/ is listed with its SHA-256, and every listed table starts with the stamp."""
+    monkeypatch.setenv("GLSAE_WORKERS", "1")
+    out = tmp_path / "o"
+    panel = ["--panel", str(panel_file)] if argv[0] == "fit" else []
+    assert main([*argv, *panel, "--iters", "60", "--burnin", "20", "--seed", "2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert {f for f in files if not f.startswith("cache/")} == {"manifest.json", *manifest["outputs"]}
+    for rel, digest in manifest["outputs"].items():
+        data = (out / rel).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, rel
+        if rel.endswith(".csv"):
+            assert data.startswith(f"# manifest: {manifest['manifest_hash']}\n".encode()), rel
+
+
 def test_fit_without_draws_writes_the_same_tables(tmp_path, panel_file):
     """phi, kappa and every table do not depend on whether the draws are saved."""
     args = [
