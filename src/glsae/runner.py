@@ -1,23 +1,26 @@
 """Run orchestration: panel fits and the replicated evaluation harness.
 
-Both commands write a ``manifest.json`` capturing every input that can
-affect the result (package version, seeds, sampler settings, grid
-selection); every emitted table carries the manifest hash, and re-running
-with the same configuration reproduces each file byte-exactly regardless
-of worker count. The evaluation driver caches one JSON file per
-(row, replicate) work item under ``cache/<key>/``, written as each item
-finishes, and builds its tables from those files alone, so an interrupted
-run resumes from the finished items and still produces identical tables.
-The key hashes the manifest payload together with a digest of the package
-source and the numpy version, so a run with another configuration or
-other code never reads them. Cache directories of other keys are named on
-stderr and left in place. Both commands check
-their inputs before the output directory is created: the models (each
-listed once), the simulation baseline, grid and row selection (every
-selected row must be in the grid), the panel, the sampler settings, the
-fit's interval level, the kept draws per chain that a multi-chain fit's
-split-R-hat needs, and the replicate count. A fit samples one model at a
-time and releases its draws before the next model samples.
+Both commands write their files through one ``_Outputs`` writer: every
+table carries the manifest hash, every file written is recorded, and
+``manifest.json``, written last, lists each one with its SHA-256 beside
+every input that can affect the result (package version, seeds, sampler
+settings, grid selection). Re-running with the same configuration
+reproduces each file byte-exactly regardless of worker count. The
+evaluation driver caches one JSON file per (row, replicate) work item
+under ``cache/<key>/``, written as each item finishes, and builds its
+tables from those files alone, so an interrupted run resumes from the
+finished items and still produces identical tables. The key hashes the
+manifest payload together with a digest of the package source and the
+numpy version, so a run with another configuration or other code never
+reads them. Cache directories of other keys are named on stderr and left
+in place. Both commands check their inputs before the output directory
+is created: the model list (one helper refuses an empty list, an unknown
+model and a model listed twice, naming ``--model`` or ``--models``), the
+simulation baseline, grid and row selection (every selected row must be
+in the grid), the panel, the sampler settings, the fit's interval level,
+the kept draws per chain that a fit's posterior sd and a multi-chain
+fit's split-R-hat need, and the replicate count. A fit samples one model
+at a time and releases its draws before the next model samples.
 
 Worker count comes from the GLSAE_WORKERS environment variable (default
 1; anything but an integer >= 1 is an error). Work items run in that many
@@ -37,7 +40,7 @@ import multiprocessing
 import os
 import sys
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +50,7 @@ from .diagnostics import DEFAULT_THRESHOLD, MIN_DRAWS, rhat_report
 from .gibbs import run_chains
 from .io import load_panel, manifest_hash, sha256_file, write_manifest, write_table
 from .metrics import FitScore, MEASURES, aggregate, best_model_counts, discrepancy_ratio, score
-from .model import ModelVariant, SamplerSettings, SourcePanel, variant
+from .model import VARIANT_TAGS, ModelVariant, SamplerSettings, SourcePanel, variant
 from .rng import RngStream, derive_stream_id
 from .simgen import generate, load_spec_table, spec_table, synthetic_v_pool
 from .summary import DRAW_BLOCK, kappa_weights, phi_distribution, phi_draws, summarize
@@ -66,6 +69,76 @@ def worker_count() -> int:
     if n < 1:
         raise ValueError(f"GLSAE_WORKERS must be an integer >= 1, got {raw!r}")
     return n
+
+
+# ---------------------------------------------------------------------------
+# outputs and model lists
+
+
+class _Outputs:
+    """The files one command writes under the directory ``out``, which it creates.
+
+    Every file is recorded as it is named, and every table carries the
+    manifest hash of ``payload``; ``close`` writes ``manifest.json`` last,
+    listing each recorded file with its SHA-256.
+    """
+
+    def __init__(self, out: Path, payload: dict):
+        self.out, self.payload, self.stamp = out, payload, manifest_hash(payload)
+        self.files: list[Path] = []
+        out.mkdir(parents=True, exist_ok=True)
+
+    def path(self, name: str) -> Path:
+        """Record the output ``name`` (relative to ``out``) and return its path."""
+        self.files.append(self.out / name)
+        return self.files[-1]
+
+    def table(self, name: str, header, rows) -> None:
+        write_table(self.path(name), header, rows, self.stamp)
+
+    def close(self) -> None:
+        outputs = {str(p.relative_to(self.out)): sha256_file(p) for p in self.files}
+        write_manifest(self.out / "manifest.json", self.payload, outputs)
+
+
+@dataclass(frozen=True)
+class SimTarget:
+    """A model to fit; one-source targets of the harness pin a column."""
+
+    name: str           # as listed, and the harness's table label: m1a, m12, mbr, msa, ...
+    tag: str            # variant tag
+    source_index: int | None = None
+
+
+_ONE_SOURCE_COLUMNS = {"mbr": 0, "msa": 1}
+
+
+def parse_target(name: str) -> SimTarget:
+    lowered = name.strip().lower()
+    if lowered in _ONE_SOURCE_COLUMNS:
+        return SimTarget(name=lowered, tag="one_source", source_index=_ONE_SOURCE_COLUMNS[lowered])
+    return SimTarget(name=lowered, tag=lowered)
+
+
+def _variants(option: str, targets, known: tuple[str, ...]) -> list[ModelVariant]:
+    """The variant of each target in ``option``'s list; refuses an empty list, an unknown model and a repeat.
+
+    A repeat is a second target fitting the same variant on the same column.
+    """
+    if not targets:
+        raise ValueError(f"{option}: no model given")
+    models, seen = [], set()
+    for target in targets:
+        try:
+            model = variant(target.tag)
+        except ValueError:
+            expected = ", ".join(known)
+            raise ValueError(f"{option}: unknown model {target.name!r}; expected one of {expected}") from None
+        if (model, target.source_index) in seen:
+            raise ValueError(f"{option}: model {target.name!r} is listed twice")
+        seen.add((model, target.source_index))
+        models.append(model)
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +199,12 @@ def _fit_panel_for(model, panel: SourcePanel, source: int | None) -> SourcePanel
     return panel.select_source(source)
 
 
-def _save_draws(draws: dict[str, np.ndarray], settings: SamplerSettings, model: ModelVariant,
-                panel: SourcePanel, out: Path) -> list[Path]:
+def _save_draws(outputs: _Outputs, draws: dict[str, np.ndarray], settings: SamplerSettings,
+                model: ModelVariant, panel: SourcePanel) -> None:
     """Write each array of ``draws`` and a ``meta.json`` describing the run under ``draws/<tag>/``."""
-    droot = out / "draws" / model.tag
-    droot.mkdir(parents=True, exist_ok=True)
-    written = []
+    (outputs.out / "draws" / model.tag).mkdir(parents=True, exist_ok=True)
     for name, arr in sorted(draws.items()):
-        p = droot / f"{name}.npy"
-        np.save(p, arr)
-        written.append(p)
+        np.save(outputs.path(f"draws/{model.tag}/{name}.npy"), arr)
     meta = {
         "variant": model.tag,
         "n_chains": settings.n_chains,
@@ -147,10 +216,8 @@ def _save_draws(draws: dict[str, np.ndarray], settings: SamplerSettings, model: 
         "n_areas": panel.n_areas,
         "n_sources": panel.n_sources,
     }
-    mp = droot / "meta.json"
-    mp.write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
-    written.append(mp)
-    return written
+    meta_text = json.dumps(meta, sort_keys=True) + "\n"
+    outputs.path(f"draws/{model.tag}/meta.json").write_text(meta_text, encoding="utf-8", newline="\n")
 
 
 def _kappa_mean(panel: SourcePanel, lambda_ij: np.ndarray, tau1_sq: np.ndarray) -> np.ndarray:
@@ -172,7 +239,7 @@ def _kappa_mean(panel: SourcePanel, lambda_ij: np.ndarray, tau1_sq: np.ndarray) 
 
 
 def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, fit_panel: SourcePanel,
-               out: Path, stamp: str, long_rows: list) -> list[Path]:
+               outputs: _Outputs, long_rows: list) -> None:
     """Sample one variant, form its phi draws, write its tables (and draws), append its plot rows.
 
     The model's draws and every array derived from them are local here, so
@@ -182,56 +249,31 @@ def _fit_model(config: FitConfig, settings: SamplerSettings, m_idx: int, model, 
     draws["phi"] = phi_draws(
         fit_panel, model, draws.get("lambda_ij"), draws["lambda_i"], draws.get("tau1_sq"), draws["tau2_sq"]
     )
-    written: list[Path] = []
+    areas, tag = fit_panel.areas, model.tag
 
     summ = summarize(draws["mu"], level=config.level)
-    rows = [
-        (area, summ.mean[i], summ.sd[i], summ.lower[i], summ.upper[i])
-        for i, area in enumerate(fit_panel.areas)
-    ]
-    p = out / f"summary_{model.tag}.csv"
-    write_table(p, ("area", "post_mean", "post_sd", "lower", "upper"), rows, stamp)
-    written.append(p)
-    for i, area in enumerate(fit_panel.areas):
-        long_rows.append((area, model.tag, "post_mean", summ.mean[i]))
-        long_rows.append((area, model.tag, "post_sd", summ.sd[i]))
-        long_rows.append((area, model.tag, "lower", summ.lower[i]))
-        long_rows.append((area, model.tag, "upper", summ.upper[i]))
+    # one mapping feeds the summary table's columns and the plot rows' quantities
+    columns = {"post_mean": summ.mean, "post_sd": summ.sd, "lower": summ.lower, "upper": summ.upper}
+    outputs.table(f"summary_{tag}.csv", ("area", *columns), zip(areas, *columns.values()))
+    long_rows.extend((area, tag, q, values[i]) for i, area in enumerate(areas) for q, values in columns.items())
 
     fives = phi_distribution(draws["phi"])
-    p = out / f"phi_{model.tag}.csv"
-    write_table(
-        p,
-        ("area", "min", "q1", "median", "q3", "max"),
-        [(area, *fives[i]) for i, area in enumerate(fit_panel.areas)],
-        stamp,
-    )
-    written.append(p)
+    outputs.table(f"phi_{tag}.csv", ("area", "min", "q1", "median", "q3", "max"),
+                  [(area, *five) for area, five in zip(areas, fives)])
 
     if model.theta_variance_form == "source":
         kap_mean = _kappa_mean(fit_panel, draws["lambda_ij"], draws["tau1_sq"])
-        rows = [
-            (area, src, kap_mean[i, j])
-            for i, area in enumerate(fit_panel.areas)
-            for j, src in enumerate(fit_panel.sources)
-        ]
-        p = out / f"kappa_{model.tag}.csv"
-        write_table(p, ("area", "source", "kappa_mean"), rows, stamp)
-        written.append(p)
+        outputs.table(f"kappa_{tag}.csv", ("area", "source", "kappa_mean"),
+                      [(area, src, kap_mean[i, j]) for i, area in enumerate(areas)
+                       for j, src in enumerate(fit_panel.sources)])
 
     if config.n_chains > 1:
         report = rhat_report(draws["mu"], "mu", DEFAULT_THRESHOLD)
-        rows = [
-            (fit_panel.areas[k], value, "pass" if ok else "fail")
-            for k, (name, value, ok) in enumerate(report.rows())
-        ]
-        p = out / f"rhat_{model.tag}.csv"
-        write_table(p, ("area", "split_rhat", "status"), rows, stamp)
-        written.append(p)
+        rows = [(area, value, "pass" if ok else "fail") for area, (_, value, ok) in zip(areas, report.rows())]
+        outputs.table(f"rhat_{tag}.csv", ("area", "split_rhat", "status"), rows)
 
     if config.save_draws:
-        written.extend(_save_draws(draws, settings, model, fit_panel, out))
-    return written
+        _save_draws(outputs, draws, settings, model, fit_panel)
 
 
 def run_fit(config: FitConfig) -> dict:
@@ -244,13 +286,9 @@ def run_fit(config: FitConfig) -> dict:
     model is sampled at a time, and its draws are released before the
     next one samples.
     """
-    if not config.models:
-        raise ValueError("no model to fit")
     if not 0.0 < config.level < 1.0:
         raise ValueError(f"--level must be in (0, 1), got {config.level}")
     panel = load_panel(config.panel_path)
-    payload = config.to_payload()
-    stamp = manifest_hash(payload)
     settings = SamplerSettings(
         seed=config.seed,
         n_iter=config.n_iter,
@@ -259,54 +297,27 @@ def run_fit(config: FitConfig) -> dict:
         thin=config.thin,
         monitor=frozenset({"mu", "eta", "variances"}),
     )
+    kept = (f"--iters {config.n_iter}, --burnin {config.n_burnin} and --thin {config.thin} "
+            f"keep {settings.n_kept} draw(s) per chain")
     if settings.n_kept < 2:
-        raise ValueError(f"a posterior sd needs at least 2 kept draws per chain, got {settings.n_kept}")
+        raise ValueError(f"{kept}; a posterior sd needs at least 2")
     if settings.n_chains > 1 and settings.n_kept < MIN_DRAWS:
-        raise ValueError(f"split-R-hat needs at least {MIN_DRAWS} kept draws per chain, got {settings.n_kept}")
+        raise ValueError(f"{kept}; split-R-hat over --chains {settings.n_chains} needs at least {MIN_DRAWS}")
     # a given --source must name a column, whatever the models
     source = None if config.source is None else _source_index(panel, config.source)
-    fits = {}
-    for tag in config.models:
-        model = variant(tag)
-        if model in fits:
-            raise ValueError(f"--model: model {model.tag!r} is listed twice")
-        fits[model] = _fit_panel_for(model, panel, source)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    models = _variants("--model", [SimTarget(name=m, tag=m) for m in config.models], VARIANT_TAGS)
+    fits = {model: _fit_panel_for(model, panel, source) for model in models}
+    outputs = _Outputs(Path(config.out_dir), config.to_payload())
     long_rows: list[tuple] = []
     for m_idx, (model, fit_panel) in enumerate(fits.items()):
-        written.extend(_fit_model(config, settings, m_idx, model, fit_panel, out, stamp, long_rows))
-
-    p = out / "plot_long.csv"
-    write_table(p, ("area", "model", "quantity", "value"), long_rows, stamp)
-    written.append(p)
-
-    outputs = {str(w.relative_to(out)): sha256_file(w) for w in written}
-    write_manifest(out / "manifest.json", payload, outputs)
-    return payload
+        _fit_model(config, settings, m_idx, model, fit_panel, outputs, long_rows)
+    outputs.table("plot_long.csv", ("area", "model", "quantity", "value"), long_rows)
+    outputs.close()
+    return outputs.payload
 
 
 # ---------------------------------------------------------------------------
 # simulation harness
-
-
-@dataclass(frozen=True)
-class SimTarget:
-    """A model to fit inside the harness; one-source targets pin a column."""
-
-    name: str           # table label: m1a, m12, mbr, msa, ...
-    tag: str            # variant tag
-    source_index: int | None = None
-
-
-def parse_target(name: str) -> SimTarget:
-    lowered = name.strip().lower()
-    if lowered == "mbr":
-        return SimTarget(name="mbr", tag="one_source", source_index=0)
-    if lowered == "msa":
-        return SimTarget(name="msa", tag="one_source", source_index=1)
-    return SimTarget(name=lowered, tag=lowered)
 
 
 # Simulation scales: `desk` finishes in minutes, `paper` is full scale;
@@ -493,18 +504,14 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
                                monitor=frozenset({"mu"}))
     out = Path(config.out_dir)
     payload = config.to_payload()
-    stamp = manifest_hash(payload)
 
     targets = tuple(parse_target(m) for m in config.models)
+    models = _variants("--models", targets, (*VARIANT_TAGS, *_ONE_SOURCE_COLUMNS))
     base_name = config.resolved_baseline()
     names = [t.name for t in targets]
-    for k, name in enumerate(names):
-        if name in names[:k]:
-            raise ValueError(f"--models: model {name!r} is listed twice")
     if base_name not in names:
         raise ValueError(f"baseline {base_name!r} is not among the fitted models {names}")
-    for target in targets:
-        model = variant(target.tag)  # raises on an unknown model name
+    for target, model in zip(targets, models):
         if not model.has_theta_level and target.source_index is None and config.n_sources > 1:
             raise ValueError(
                 f"--models: {target.name!r} fits a single source, but the panels have {config.n_sources}; "
@@ -512,8 +519,8 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
             )
         if target.source_index is not None and target.source_index >= config.n_sources:
             raise ValueError(
-                f"model {target.name!r} fits source column {target.source_index}, "
-                f"but the panels have {config.n_sources} source(s)"
+                f"--models: {target.name!r} fits source column {target.source_index}, "
+                f"but --sources {config.n_sources} makes {config.n_sources} column(s)"
             )
 
     if config.v_panel:
@@ -553,9 +560,10 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
             file=sys.stderr,
         )
 
+    reps = range(config.n_replicates)
     paths = {(spec.row, rep): _cache_path(cache_dir, config.case, spec.row, rep)
-             for spec in specs for rep in range(config.n_replicates)}
-    items = [(spec, rep, targets, settings) for spec in specs for rep in range(config.n_replicates)
+             for spec in specs for rep in reps}
+    items = [(spec, rep, targets, settings) for spec in specs for rep in reps
              if _load_cached(paths[spec.row, rep], targets) is None]
     _run_items(items, workers, cache_dir, config.case)
     # fresh and resumed items alike are read back from the cache
@@ -564,75 +572,28 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     if missing:
         raise RuntimeError(f"{missing} simulation item(s) ended in a worker without a result")
 
-    # aggregate medians per (row, model)
-    agg: dict[str, dict[int, FitScore]] = {name: {} for name in names}
-    for spec in specs:
-        for name in names:
-            reps = [
-                FitScore(**cached[(spec.row, rep)][name])
-                for rep in range(config.n_replicates)
-            ]
-            agg[name][spec.row] = aggregate(reps)
+    # median scores per (model, row), and every other model's ratios to the baseline's
+    agg = {name: {spec.row: aggregate([FitScore(**cached[spec.row, rep][name]) for rep in reps])
+                  for spec in specs} for name in names}
+    ratios = {name: discrepancy_ratio(agg[name], agg[base_name]) for name in names if name != base_name}
 
-    ratios = {
-        name: discrepancy_ratio(agg[name], agg[base_name])
-        for name in names
-        if name != base_name
-    }
-
-    written: list[Path] = []
-    param_cols = list(specs[0].params)
-
-    rows_med = []
-    for spec in specs:
-        for name in names:
-            s = agg[name][spec.row]
-            rows_med.append((spec.row, *[spec.params[c] for c in param_cols], name, s.arb, s.asrb, s.aad, s.asd))
-    p = out / f"case{config.case}_medians.csv"
-    write_table(p, ("row", *param_cols, "model", "arb", "asrb", "aad", "asd"), rows_med, stamp)
-    written.append(p)
-
-    ratio_cols = []
-    for name in names:
-        if name != base_name:
-            ratio_cols += [f"{name}_arb_ratio", f"{name}_asrb_ratio"]
-    rows_ratio = []
-    for spec in specs:
-        row = [spec.row, *[spec.params[c] for c in param_cols]]
-        for name in names:
-            if name == base_name:
-                continue
-            row.append(ratios[name].ratio("arb", spec.row))
-            row.append(ratios[name].ratio("asrb", spec.row))
-        rows_ratio.append(tuple(row))
-    p = out / f"case{config.case}_ratio_by_spec.csv"
-    write_table(p, ("row", *param_cols, *ratio_cols), rows_ratio, stamp)
-    written.append(p)
-
-    rows_summary = []
-    for measure in MEASURES:
-        for name in names:
-            if name == base_name:
-                continue
-            six = ratios[name].stats[measure]
-            rows_summary.append(
-                (measure, f"{name}/{base_name}", six.minimum, six.q1, six.median, six.mean, six.q3, six.maximum)
-            )
-    p = out / f"case{config.case}_ratio_summary.csv"
-    write_table(p, ("measure", "ratio", "min", "q1", "median", "mean", "q3", "max"), rows_summary, stamp)
-    written.append(p)
-
-    if sum(1 for n in names if n != base_name) >= 2:
-        rows_counts = []
-        for measure in MEASURES:
-            table = {name: ratios[name].ratios[measure] for name in names if name != base_name}
-            counts = best_model_counts(table)
-            for name in sorted(table):
-                rows_counts.append((measure, name, counts.counts[name], len(counts.ties)))
-        p = out / f"case{config.case}_best_counts.csv"
-        write_table(p, ("measure", "model", "wins", "tied_rows"), rows_counts, stamp)
-        written.append(p)
-
-    outputs = {str(w.relative_to(out)): sha256_file(w) for w in written}
-    write_manifest(out / "manifest.json", payload, outputs)
-    return {"specs": specs, "aggregated": agg, "ratios": ratios, "stamp": stamp}
+    outputs = _Outputs(out, payload)
+    case, params, pair = f"case{config.case}", list(specs[0].params), ("arb", "asrb")
+    lead = {spec.row: (spec.row, *[spec.params[c] for c in params]) for spec in specs}
+    medians = [(*lead[spec.row], name, *[getattr(agg[name][spec.row], m) for m in MEASURES])
+               for spec in specs for name in names]
+    outputs.table(f"{case}_medians.csv", ("row", *params, "model", *MEASURES), medians)
+    by_spec = [(*lead[row], *[r.ratio(m, row) for r in ratios.values() for m in pair]) for row in lead]
+    ratio_cols = [f"{name}_{m}_ratio" for name in ratios for m in pair]
+    outputs.table(f"{case}_ratio_by_spec.csv", ("row", *params, *ratio_cols), by_spec)
+    summary = [(m, f"{name}/{base_name}", *astuple(r.stats[m])) for m in MEASURES for name, r in ratios.items()]
+    outputs.table(f"{case}_ratio_summary.csv", ("measure", "ratio", "min", "q1", "median", "mean", "q3", "max"),
+                  summary)
+    if len(ratios) >= 2:
+        rows = []
+        for m in MEASURES:
+            counts = best_model_counts({name: r.ratios[m] for name, r in ratios.items()})
+            rows += [(m, name, counts.counts[name], len(counts.ties)) for name in sorted(ratios)]
+        outputs.table(f"{case}_best_counts.csv", ("measure", "model", "wins", "tied_rows"), rows)
+    outputs.close()
+    return {"specs": specs, "aggregated": agg, "ratios": ratios, "stamp": outputs.stamp}

@@ -235,14 +235,15 @@ def test_fit_one_source_needs_source_flag(tmp_path, panel_file, capsys):
     assert len(rows) == 8
 
 
-_UNKNOWN_TAG = "unknown variant tag 'zzz'; expected one of ('m11a', 'm11b', 'm1a', 'm1b', 'm12', 'one_source')"
-# The refusal cases carry fixed ids, the names they were first collected
-# under, and match the whole error line: rewording a message fails its case
-# but renames no test.
+_VARIANTS = "m11a, m11b, m1a, m1b, m12, one_source"
+# The refusal cases carry fixed ids and match the whole error line: rewording
+# a message fails its case but renames no test. Newer ids name the option
+# and the case; older ones are the names they were first collected under.
 _FIT_REFUSALS = [
     pytest.param("missing.csv", "m12", [], "[Errno 2] No such file or directory: 'missing.csv'",
                  id="missing.csv-m12-No such file or directory: 'missing.csv'"),
-    pytest.param(None, "m12,zzz", [], _UNKNOWN_TAG, id="None-m12,zzz-unknown variant tag 'zzz'"),
+    pytest.param(None, "m12,zzz", [], f"--model: unknown model 'zzz'; expected one of {_VARIANTS}",
+                 id="model-unknown-tag"),
     pytest.param(None, "m12,one-source", [], "one_source on a multi-source panel needs --source",
                  id="None-m12,one-source-needs --source"),
     pytest.param(None, "m12", ["--level", "1.5"], "--level must be in (0, 1), got 1.5",
@@ -253,13 +254,14 @@ _FIT_REFUSALS = [
                  "--model: model 'one_source' is listed twice",
                  id="None-one-source,one_source-model 'one_source' is listed twice"),
     pytest.param(None, "m12", ["--chains", "2", "--iters", "5", "--burnin", "2"],
-                 "split-R-hat needs at least 4 kept draws per chain, got 3",
-                 id="None-m12-split-R-hat needs at least 4 kept draws per chain, got 3"),
+                 "--iters 5, --burnin 2 and --thin 1 keep 3 draw(s) per chain; "
+                 "split-R-hat over --chains 2 needs at least 4",
+                 id="iters-too-few-kept-for-rhat"),
     pytest.param(None, "m12", ["--iters", "30", "--burnin", "10", "--thin", "50"],
-                 "a posterior sd needs at least 2 kept draws per chain, got 1",
-                 id="None-m12-a posterior sd needs at least 2 kept draws per chain, got 1"),
-    pytest.param(None, "", [], "no model to fit", id="None--no model to fit"),
-    pytest.param(None, ",", [], "no model to fit", id="None-,-no model to fit"),
+                 "--iters 30, --burnin 10 and --thin 50 keep 1 draw(s) per chain; a posterior sd needs at least 2",
+                 id="thin-too-few-kept-for-sd"),
+    pytest.param(None, "", [], "--model: no model given", id="model-empty"),
+    pytest.param(None, ",", [], "--model: no model given", id="model-only-commas"),
     pytest.param(None, "one-source", ["--source", "-1"],
                  "--source: unknown source '-1'; panel has ('brfss', 'sahie')",
                  id="None-one-source-unknown source '-1'; panel has ('brfss', 'sahie')"),
@@ -819,7 +821,9 @@ def test_simulate_rejects_unknown_baseline(tmp_path, capsys):
 @pytest.mark.parametrize("models, message", [
     pytest.param("m1a,m12,m1a", "--models: model 'm1a' is listed twice",
                  id="m1a,m12,m1a---models: model 'm1a' is listed twice"),
-    pytest.param("m1a,m12,zzz", _UNKNOWN_TAG, id="m1a,m12,zzz-unknown variant tag 'zzz'"),
+    pytest.param("m1a,m12,zzz", f"--models: unknown model 'zzz'; expected one of {_VARIANTS}, mbr, msa",
+                 id="models-unknown-tag"),
+    pytest.param(",", "--models: no model given", id="models-empty"),
 ])
 def test_simulate_rejects_bad_model_list_before_writing(tmp_path, capsys, models, message):
     out = tmp_path / "x"
@@ -848,8 +852,8 @@ def test_simulate_rejects_rows_outside_the_grid_before_writing(tmp_path, capsys,
     pytest.param(["--iters", "10", "--burnin", "20"], "--burnin must be >= 0 and below --iters (10), got 20",
                  id="extra1---burnin must be >= 0 and below --iters (10), got 20"),
     pytest.param(["--sources", "1", "--bootstrap-v", "--models", "m1a,msa", "--baseline", "m1a"],
-                 "model 'msa' fits source column 1, but the panels have 1 source(s)",
-                 id="extra2-model 'msa' fits source column 1, but the panels have 1 source(s)"),
+                 "--models: 'msa' fits source column 1, but --sources 1 makes 1 column(s)",
+                 id="sources-too-few-for-msa"),
     pytest.param(["--sources", "0", "--bootstrap-v"], "--sources must be >= 1, got 0",
                  id="extra3-sources must be >= 1, got 0"),
     pytest.param(["--seed", "-1"], "--seed must be >= 0, got -1", id="extra4---seed must be >= 0, got -1"),
