@@ -499,6 +499,8 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
         raise ValueError(f"--replicates must be >= 1, got {config.n_replicates}")
     if config.n_sources < 1:
         raise ValueError(f"--sources must be >= 1, got {config.n_sources}")
+    if config.case in (5, 6) and config.n_sources != 2:
+        raise ValueError(f"--sources: cases 5 and 6 are two-source designs, got {config.n_sources}")
     # every replicate fit: a single chain monitoring mu
     settings = SamplerSettings(seed=config.seed, n_iter=config.n_iter, n_burnin=config.n_burnin,
                                monitor=frozenset({"mu"}))
@@ -510,7 +512,7 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
     base_name = config.resolved_baseline()
     names = [t.name for t in targets]
     if base_name not in names:
-        raise ValueError(f"baseline {base_name!r} is not among the fitted models {names}")
+        raise ValueError(f"--baseline: {base_name!r} is not among --models {', '.join(names)}")
     for target, model in zip(targets, models):
         if not model.has_theta_level and target.source_index is None and config.n_sources > 1:
             raise ValueError(
@@ -532,7 +534,10 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> dict:
         v_kw = {"v": None, "v_pool": observed.reshape(-1)}
     else:
         if observed.shape[1] != config.n_sources:
-            raise ValueError("fixed-variance mode needs a pool matching --sources; use bootstrap for other J")
+            raise ValueError(
+                f"--sources {config.n_sources} does not match the variance pool's {observed.shape[1]} column(s); "
+                f"pass --bootstrap-v to resample the pool, or a --v-panel with {config.n_sources} source(s)"
+            )
         v_kw = {"v": observed, "v_pool": None, "n_areas": observed.shape[0]}
     common = {"n_sources": config.n_sources, **v_kw}
     if config.spec_file:

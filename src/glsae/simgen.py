@@ -9,8 +9,10 @@ where each variance g2 follows either the outlier law (delta * t11^2 with
 delta ~ Bernoulli(p)) or the mixture law (delta * t21^2 + (1-delta) *
 t22^2, t22 = 0.05). Case 1 is outlier/outlier, case 2 mixture
 (mu) with outlier (th), case 3 mixture/mixture, case 4 outlier (mu) with
-mixture (th). Scales in the spec grids are standard deviations and are
-squared here.
+mixture (th); ``_LAWS`` holds that table. An outlier level reads its
+p and t11 from the grid columns ``p2_<level>`` and ``tau11_<level>``, a
+mixture level its p and t21 from ``p1_<level>`` and ``tau21_<level>``.
+Scales in the spec grids are standard deviations and are squared here.
 
 The Bernoulli indicators are drawn independently per unit: per area at
 the mu level, per (area, source) at the th level.
@@ -20,7 +22,14 @@ Cases 5 and 6 use source-specific th laws:
     mu_i ~ N(0.25, tau^2), th_i1 ~ N(mu_i, tau_1^2),
     th_i2 ~ N(mu_i, delta_i * tau_2^2), delta_i ~ Bernoulli(p) per area,
 
-with case 6 the p = 1 special case.
+with case 6 the p = 1 special case (its grid has no ``p`` column).
+
+A ``SimSpec`` is one grid row: its ``params`` dict is the only copy of
+the row's values, read by ``generate`` and printed in the tables. It
+refuses a row that lacks a column of its case's grid or holds a
+non-finite value, a probability (``p*``) outside [0, 1] or a negative
+scale (``tau*``); ``load_spec_table`` names the file and line of such a
+row.
 
 Sampling variances are fixed across replicates (the observed-variance
 convention); the J = 4 preliminary mode instead bootstraps them per
@@ -31,7 +40,8 @@ log-uniform over [1e-5, 1e-2], seed 20100.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,68 +54,42 @@ MIXTURE_SMALL_SCALE = 0.05
 OVERALL_MEAN = 0.25  # eta of every generated panel
 
 
-@dataclass(frozen=True)
-class LevelSpec:
-    """Variance law for one level: outlier or mixture."""
-
-    kind: str  # outlier | mixture
-    p: float = 0.0
-    tau11: float = 0.0
-    tau21: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("outlier", "mixture"):
-            raise ValueError(f"unknown level kind {self.kind!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        if min(self.tau11, self.tau21) < 0:
-            raise ValueError("scales must be nonnegative")
-
-    def draw_variance(self, size, gen) -> tuple[np.ndarray, np.ndarray]:
-        """Per-unit variances and the Bernoulli flags that produced them."""
-        delta = (gen.random(size) < self.p).astype(np.int64)
-        if self.kind == "outlier":
-            return delta * self.tau11**2, delta
-        return delta * self.tau21**2 + (1 - delta) * MIXTURE_SMALL_SCALE**2, delta
-
-
-@dataclass(frozen=True)
-class Case5Params:
-    tau: float
-    tau1: float
-    p: float
-    tau2: float
+# case -> (mu law, theta law) for cases 1-4; law -> (probability, scale) column prefixes
+_LAWS = {1: ("outlier", "outlier"), 2: ("mixture", "outlier"), 3: ("mixture", "mixture"), 4: ("outlier", "mixture")}
+_LAW_COLUMNS = {"outlier": ("p2", "tau11"), "mixture": ("p1", "tau21")}
 
 
 @dataclass(frozen=True)
 class SimSpec:
-    """One row of an evaluation grid."""
+    """One row of an evaluation grid; ``params`` holds its grid values."""
 
     case_id: int
     row: int
-    theta_level: LevelSpec | None
-    mu_level: LevelSpec | None
+    params: dict
     n_areas: int = 62
     n_sources: int = 2
-    case5: Case5Params | None = None
     v: np.ndarray | None = None
     v_pool: np.ndarray | None = None
-    params: dict = field(default_factory=dict)  # raw grid values, for table output
 
     def __post_init__(self):
-        if self.case_id not in range(1, 7):
+        if self.case_id not in _GRIDS:
             raise ValueError("case_id must be 1..6")
-        if self.case_id in (5, 6):
-            if self.case5 is None:
-                raise ValueError("cases 5 and 6 need case5 parameters")
-            if self.n_sources != 2:
-                raise ValueError("cases 5 and 6 are two-source designs")
-        elif self.theta_level is None or self.mu_level is None:
-            raise ValueError("cases 1-4 need theta_level and mu_level")
+        if self.case_id in (5, 6) and self.n_sources != 2:
+            raise ValueError("cases 5 and 6 are two-source designs")
         if (self.v is None) == (self.v_pool is None):
             raise ValueError("exactly one of v (fixed matrix) or v_pool (bootstrap) must be set")
         if self.v is not None and self.v.shape != (self.n_areas, self.n_sources):
             raise ValueError("fixed v matrix has the wrong shape")
+        for name in _COLUMNS[self.case_id]:
+            if name not in self.params:
+                raise ValueError(f"no {name!r} value")
+            value = self.params[name]
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if name.startswith("p") and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+            if name.startswith("tau") and value < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -140,24 +124,35 @@ def bootstrap_v(v_pool: np.ndarray, n_areas: int, n_sources: int, rng: RngStream
     return pool[idx]
 
 
+def _level_variance(law: str, params: dict, level: str, size, gen) -> tuple[np.ndarray, np.ndarray]:
+    """Per-unit variances of one level under its law, and the Bernoulli flags that produced them."""
+    prob, scale = _LAW_COLUMNS[law]
+    delta = (gen.random(size) < params[f"{prob}_{level}"]).astype(np.int64)
+    g2 = delta * params[f"{scale}_{level}"] ** 2
+    if law == "mixture":
+        g2 = g2 + (1 - delta) * MIXTURE_SMALL_SCALE**2
+    return g2, delta
+
+
 def generate(spec: SimSpec, replicate_id: int, rng: RngStream) -> SimPanel:
     """One synthetic replicate; deterministic given the stream."""
     gen = rng.generator
     I, J = spec.n_areas, spec.n_sources
     v = spec.v if spec.v is not None else bootstrap_v(spec.v_pool, I, J, rng)
 
+    par = spec.params
     if spec.case_id in (5, 6):
-        c5 = spec.case5
-        p = 1.0 if spec.case_id == 6 else c5.p
-        mu = OVERALL_MEAN + gen.normal(0.0, c5.tau, size=I)
+        p = 1.0 if spec.case_id == 6 else par["p"]
+        mu = OVERALL_MEAN + gen.normal(0.0, par["tau"], size=I)
         delta = (gen.random(I) < p).astype(np.int64)
         theta = np.empty((I, 2))
-        theta[:, 0] = mu + c5.tau1 * gen.standard_normal(I)
-        theta[:, 1] = mu + np.sqrt(delta * c5.tau2**2) * gen.standard_normal(I)
+        theta[:, 0] = mu + par["tau1"] * gen.standard_normal(I)
+        theta[:, 1] = mu + np.sqrt(delta * par["tau2"] ** 2) * gen.standard_normal(I)
         flags = {"source2": delta}
     else:
-        g2_mu, d_mu = spec.mu_level.draw_variance(I, gen)
-        g2_th, d_th = spec.theta_level.draw_variance((I, J), gen)
+        mu_law, theta_law = _LAWS[spec.case_id]
+        g2_mu, d_mu = _level_variance(mu_law, par, "mu", I, gen)
+        g2_th, d_th = _level_variance(theta_law, par, "theta", (I, J), gen)
         mu = OVERALL_MEAN + np.sqrt(g2_mu) * gen.standard_normal(I)
         theta = mu[:, None] + np.sqrt(g2_th) * gen.standard_normal((I, J))
         flags = {"mu": d_mu, "theta": d_th}
@@ -223,30 +218,7 @@ def _case6_grid():
 
 
 _GRIDS = {1: _case1_grid, 2: _case2_grid, 3: _case3_grid, 4: _case4_grid, 5: _case5_grid, 6: _case6_grid}
-
-
-def _spec_from_params(case_id: int, row: int, params: dict, **kw) -> SimSpec:
-    if case_id == 1:
-        theta = LevelSpec("outlier", p=params["p2_theta"], tau11=params["tau11_theta"])
-        mu = LevelSpec("outlier", p=params["p2_mu"], tau11=params["tau11_mu"])
-        return SimSpec(case_id, row, theta, mu, params=params, **kw)
-    if case_id == 2:
-        theta = LevelSpec("outlier", p=params["p2_theta"], tau11=params["tau11_theta"])
-        mu = LevelSpec("mixture", p=params["p1_mu"], tau21=params["tau21_mu"])
-        return SimSpec(case_id, row, theta, mu, params=params, **kw)
-    if case_id == 3:
-        theta = LevelSpec("mixture", p=params["p1_theta"], tau21=params["tau21_theta"])
-        mu = LevelSpec("mixture", p=params["p1_mu"], tau21=params["tau21_mu"])
-        return SimSpec(case_id, row, theta, mu, params=params, **kw)
-    if case_id == 4:
-        theta = LevelSpec("mixture", p=params["p1_theta"], tau21=params["tau21_theta"])
-        mu = LevelSpec("outlier", p=params["p2_mu"], tau11=params["tau11_mu"])
-        return SimSpec(case_id, row, theta, mu, params=params, **kw)
-    c5 = Case5Params(
-        tau=params["tau"], tau1=params["tau1"],
-        p=params.get("p", 1.0), tau2=params["tau2"],
-    )
-    return SimSpec(case_id, row, None, None, case5=c5, params=params, **kw)
+_COLUMNS = {case: tuple(next(grid())) for case, grid in _GRIDS.items()}  # each case's grid columns
 
 
 def spec_table(
@@ -263,11 +235,7 @@ def spec_table(
     if v is None and v_pool is None:
         v = synthetic_v_pool(n_areas, n_sources)
     return [
-        _spec_from_params(
-            case_id, row, params,
-            n_areas=n_areas, n_sources=n_sources,
-            v=v, v_pool=v_pool,
-        )
+        SimSpec(case_id, row, params, n_areas=n_areas, n_sources=n_sources, v=v, v_pool=v_pool)
         for row, params in enumerate(_GRIDS[case_id](), start=1)
     ]
 
@@ -275,15 +243,16 @@ def spec_table(
 def load_spec_table(path, case_id: int, **kw) -> list[SimSpec]:
     """Grid override from a delimited file whose columns match the case's parameters.
 
-    Every parameter column of the case's grid must be present and filled.
-    A missing column or value, a non-numeric cell and a non-integer
-    ``row`` are refused with the file and the 1-based line.
+    Every parameter column of the case's grid must be present, and every
+    row is checked as ``SimSpec`` checks the built-in grids. A missing
+    column or value, a non-numeric or non-finite cell, a value out of its
+    range and a non-integer ``row`` are refused with the file and the
+    1-based line.
     """
     if case_id not in _GRIDS:
         raise ValueError(f"unknown case {case_id}")
-    required = list(next(_GRIDS[case_id]()))
     (header_line, header), *records = _numbered_records(path)
-    for name in required:
+    for name in _COLUMNS[case_id]:
         if name not in header:
             raise ValueError(f"{path}:{header_line}: no {name!r} column for case {case_id}")
     specs = []
@@ -302,10 +271,10 @@ def load_spec_table(path, case_id: int, **kw) -> list[SimSpec]:
                 params[name] = float(cell)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric {name} {cell!r}") from None
-        for name in required:
-            if name not in params:
-                raise ValueError(f"{path}:{lineno}: no {name!r} value")
-        specs.append(_spec_from_params(case_id, row, params, **kw))
+        try:
+            specs.append(SimSpec(case_id, row, params, **kw))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not specs:
         raise ValueError(f"no specification rows in {path}")
     return specs

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines. The heavy criteria use two worker processes; on a 2-core host the
-full suite, this module included, ran 367 tests in 248 s. Criteria 1, 4,
+full suite, this module included, ran 385 tests in 335 s. Criteria 1, 4,
 5 and 6 carry the ``slow`` marker, so ``pytest -m "not slow"`` skips them
 for a quick local loop.
 """

@@ -806,18 +806,6 @@ def _one_error_line(capsys) -> str:
     return lines[0]
 
 
-def test_simulate_rejects_unknown_baseline(tmp_path, capsys):
-    out = tmp_path / "x"
-    assert main([
-        "simulate", "--case", "1", "--rows", "1", "--replicates", "1",
-        "--models", "m1a,m12", "--baseline", "m11a",
-        "--iters", "100", "--burnin", "20", "--seed", "3",
-        "--out", str(out),
-    ]) == 2
-    assert "baseline 'm11a'" in _one_error_line(capsys)
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("models, message", [
     pytest.param("m1a,m12,m1a", "--models: model 'm1a' is listed twice",
                  id="m1a,m12,m1a---models: model 'm1a' is listed twice"),
@@ -848,27 +836,35 @@ def test_simulate_rejects_rows_outside_the_grid_before_writing(tmp_path, capsys,
 
 @pytest.mark.parametrize("extra, message", [
     pytest.param(["--replicates", "0"], "--replicates must be >= 1, got 0",
-                 id="extra0-replicates must be >= 1, got 0"),
+                 id="replicates-zero"),
     pytest.param(["--iters", "10", "--burnin", "20"], "--burnin must be >= 0 and below --iters (10), got 20",
-                 id="extra1---burnin must be >= 0 and below --iters (10), got 20"),
+                 id="burnin-not-below-iters"),
     pytest.param(["--sources", "1", "--bootstrap-v", "--models", "m1a,msa", "--baseline", "m1a"],
                  "--models: 'msa' fits source column 1, but --sources 1 makes 1 column(s)",
                  id="sources-too-few-for-msa"),
     pytest.param(["--sources", "0", "--bootstrap-v"], "--sources must be >= 1, got 0",
-                 id="extra3-sources must be >= 1, got 0"),
-    pytest.param(["--seed", "-1"], "--seed must be >= 0, got -1", id="extra4---seed must be >= 0, got -1"),
+                 id="sources-zero"),
+    pytest.param(["--seed", "-1"], "--seed must be >= 0, got -1", id="seed-negative"),
     pytest.param(["--models", "m12,one-source"],
                  "--models: 'one-source' fits a single source, but the panels have 2; "
                  "name its column as mbr (column 0) or msa (column 1)",
-                 id="extra5---models: 'one-source' fits a single source, but the panels have 2; "
-                    "name its column as mbr (column 0) or msa"),
-    pytest.param(["--iters", "0"], "--iters must be >= 1, got 0", id="extra6---iters must be >= 1, got 0"),
+                 id="models-one-source-unpinned"),
+    pytest.param(["--iters", "0"], "--iters must be >= 1, got 0", id="iters-zero"),
     pytest.param(["--models", "m1a,m1a"], "--models: model 'm1a' is listed twice",
-                 id="extra7---models: model 'm1a' is listed twice"),
+                 id="models-repeat"),
     pytest.param(["--replicates", "-2"], "--replicates must be >= 1, got -2",
-                 id="extra8---replicates must be >= 1, got -2"),
+                 id="replicates-negative"),
     pytest.param(["--sources", "-1", "--bootstrap-v"], "--sources must be >= 1, got -1",
-                 id="extra9---sources must be >= 1, got -1"),
+                 id="sources-negative"),
+    pytest.param(["--models", "m1a,m12", "--baseline", "m11a"], "--baseline: 'm11a' is not among --models m1a, m12",
+                 id="baseline-not-in-models"),
+    pytest.param(["--sources", "1", "--models", "m1a,m11a", "--baseline", "m1a"],
+                 "--sources 1 does not match the variance pool's 2 column(s); "
+                 "pass --bootstrap-v to resample the pool, or a --v-panel with 1 source(s)",
+                 id="sources-mismatch-fixed-pool"),
+    pytest.param(["--case", "5", "--sources", "3", "--bootstrap-v", "--models", "m1a,m12"],
+                 "--sources: cases 5 and 6 are two-source designs, got 3",
+                 id="sources-not-two-for-case5"),
 ])
 def test_simulate_rejects_bad_settings_before_writing(tmp_path, monkeypatch, capsys, extra, message):
     monkeypatch.setenv("GLSAE_WORKERS", "2")
@@ -878,19 +874,29 @@ def test_simulate_rejects_bad_settings_before_writing(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid, at_line", [
-    ("row,p2_mu,tau11_mu,tau11_theta\n1,0.3,0.07,0.07\n", ":1: no 'p2_theta' column for case 1"),
-    ("row,p2_mu,p2_theta,tau11_mu,tau11_theta\n1,0.3,0.3,0.07,0.07\n2,0.1,abc,0.07,0.14\n",
-     ":3: non-numeric p2_theta 'abc'"),
-    ("row,p2_mu,p2_theta,tau11_mu,tau11_theta\n1,0.3,,0.07,0.07\n", ":2: no 'p2_theta' value"),
-    ("row,p2_mu,p2_theta,tau11_mu,tau11_theta\nx,0.3,0.3,0.07,0.07\n", ":2: non-integer row 'x'"),
-], ids=["missing-column", "non-numeric", "empty-cell", "non-integer-row"])
-def test_simulate_rejects_bad_spec_file_by_line(tmp_path, capsys, grid, at_line):
+_CASE1_GRID = "row,p2_mu,p2_theta,tau11_mu,tau11_theta\n1,0.3,0.3,0.07,0.07\n"
+_CASE5_GRID = "tau,tau1,p,tau2\n0.05,0.01,0.2,0.1\n"
+
+
+@pytest.mark.parametrize("case, grid, at_line", [
+    (1, "row,p2_mu,tau11_mu,tau11_theta\n1,0.3,0.07,0.07\n", ":1: no 'p2_theta' column for case 1"),
+    (1, _CASE1_GRID + "2,0.1,abc,0.07,0.14\n", ":3: non-numeric p2_theta 'abc'"),
+    (1, "row,p2_mu,p2_theta,tau11_mu,tau11_theta\n1,0.3,,0.07,0.07\n", ":2: no 'p2_theta' value"),
+    (1, "row,p2_mu,p2_theta,tau11_mu,tau11_theta\nx,0.3,0.3,0.07,0.07\n", ":2: non-integer row 'x'"),
+    (1, _CASE1_GRID + "2,1.5,0.3,0.07,0.07\n", ":3: p2_mu must be in [0, 1], got 1.5"),
+    (1, _CASE1_GRID + "2,0.3,0.3,-0.07,0.07\n", ":3: tau11_mu must be >= 0, got -0.07"),
+    (1, _CASE1_GRID + "2,0.3,0.3,0.07,nan\n", ":3: tau11_theta must be a finite number, got nan"),
+    (5, _CASE5_GRID + "0.05,0.01,1.7,0.1\n", ":3: p must be in [0, 1], got 1.7"),
+    (5, _CASE5_GRID + "-0.05,0.01,0.2,0.1\n", ":3: tau must be >= 0, got -0.05"),
+], ids=["missing-column", "non-numeric", "empty-cell", "non-integer-row",
+        "case1-probability-above-one", "case1-negative-scale", "case1-nan-cell",
+        "case5-probability-above-one", "case5-negative-scale"])
+def test_simulate_rejects_bad_spec_file_by_line(tmp_path, capsys, case, grid, at_line):
     spec = tmp_path / "grid.csv"
     spec.write_text(grid, encoding="utf-8")
     out = tmp_path / "x"
-    assert main(_toy_simulate(3) + [str(out), "--specs", str(spec)]) == 2
-    assert f"{spec}{at_line}" in _one_error_line(capsys)
+    assert main(_toy_simulate(3) + [str(out), "--case", str(case), "--specs", str(spec)]) == 2
+    assert _one_error_line(capsys) == f"glsae: error: {spec}{at_line}"
     assert not out.exists()
 
 

@@ -3,8 +3,6 @@ import pytest
 
 from glsae.rng import RngStream
 from glsae.simgen import (
-    Case5Params,
-    LevelSpec,
     SimSpec,
     bootstrap_v,
     generate,
@@ -17,8 +15,7 @@ from glsae.simgen import (
 def _outlier_spec(p_mu, p_th, t_mu, t_th, I=20):
     return SimSpec(
         case_id=1, row=1,
-        theta_level=LevelSpec("outlier", p=p_th, tau11=t_th),
-        mu_level=LevelSpec("outlier", p=p_mu, tau11=t_mu),
+        params={"p2_mu": p_mu, "p2_theta": p_th, "tau11_mu": t_mu, "tau11_theta": t_th},
         n_areas=I,
         v=np.full((I, 2), 1e-4),
     )
@@ -34,13 +31,13 @@ def test_zero_probability_outliers_collapse_to_constants():
 
 def test_case6_equals_case5_at_p_one():
     c5 = SimSpec(
-        case_id=5, row=1, theta_level=None, mu_level=None,
-        case5=Case5Params(tau=0.05, tau1=0.01, p=1.0, tau2=0.1),
+        case_id=5, row=1,
+        params={"tau": 0.05, "tau1": 0.01, "p": 1.0, "tau2": 0.1},
         n_areas=15, v=np.full((15, 2), 1e-4),
     )
     c6 = SimSpec(
-        case_id=6, row=1, theta_level=None, mu_level=None,
-        case5=Case5Params(tau=0.05, tau1=0.01, p=0.123, tau2=0.1),  # p ignored at case 6
+        case_id=6, row=1,
+        params={"tau": 0.05, "tau1": 0.01, "p": 0.123, "tau2": 0.1},  # p ignored at case 6
         n_areas=15, v=np.full((15, 2), 1e-4),
     )
     d5 = generate(c5, 3, RngStream(2, 9))
@@ -52,8 +49,7 @@ def test_case6_equals_case5_at_p_one():
 def test_case3_mixture_small_component():
     spec = SimSpec(
         case_id=3, row=1,
-        theta_level=LevelSpec("mixture", p=0.0, tau21=0.4),
-        mu_level=LevelSpec("mixture", p=0.0, tau21=0.4),  # delta=0: N(0.25, 0.05^2)
+        params={"p1_mu": 0.0, "p1_theta": 0.0, "tau21_mu": 0.4, "tau21_theta": 0.4},  # delta=0: N(0.25, 0.05^2)
         n_areas=4000, v=np.full((4000, 2), 1e-6),
     )
     data = generate(spec, 0, RngStream(3, 0))
@@ -70,8 +66,7 @@ def test_empirical_moments_outlier_and_mixture():
 
     mix = SimSpec(
         case_id=3, row=1,
-        theta_level=LevelSpec("mixture", p=0.5, tau21=0.2),
-        mu_level=LevelSpec("mixture", p=0.5, tau21=0.2),
+        params={"p1_mu": 0.5, "p1_theta": 0.5, "tau21_mu": 0.2, "tau21_theta": 0.2},
         n_areas=25, v=np.full((25, 2), 1e-6),
     )
     mus = np.concatenate([generate(mix, k, RngStream(5, k)).truth_mu for k in range(8000)])
@@ -119,8 +114,7 @@ def test_bootstrap_v():
 def test_bootstrap_v_inside_generate():
     spec = SimSpec(
         case_id=1, row=1,
-        theta_level=LevelSpec("outlier", p=0.1, tau11=0.05),
-        mu_level=LevelSpec("outlier", p=0.1, tau11=0.05),
+        params={"p2_mu": 0.1, "p2_theta": 0.1, "tau11_mu": 0.05, "tau11_theta": 0.05},
         n_areas=6, n_sources=4,
         v_pool=np.array([1e-4, 2e-4, 5e-4]),
     )
@@ -156,8 +150,8 @@ def test_spec_table_file_override(tmp_path):
     )
     specs = load_spec_table(path, 1, v=np.full((62, 2), 1e-4))
     assert len(specs) == 2
-    assert specs[0].mu_level.p == 0.3
-    assert specs[1].theta_level.tau11 == 0.14
+    assert specs[0].params["p2_mu"] == 0.3
+    assert specs[1].params["tau11_theta"] == 0.14
 
 
 def test_synthetic_pool_fixed_and_in_range():
@@ -171,8 +165,8 @@ def test_synthetic_pool_fixed_and_in_range():
 
 def test_case5_source_structure():
     spec = SimSpec(
-        case_id=5, row=1, theta_level=None, mu_level=None,
-        case5=Case5Params(tau=0.05, tau1=1e-9, p=0.5, tau2=0.3),
+        case_id=5, row=1,
+        params={"tau": 0.05, "tau1": 1e-9, "p": 0.5, "tau2": 0.3},
         n_areas=400, v=np.full((400, 2), 1e-10),
     )
     d = generate(spec, 0, RngStream(11, 0))
@@ -183,3 +177,18 @@ def test_case5_source_structure():
     on = d.truth_theta[flags == 1, 1] - d.truth_mu[flags == 1]
     assert np.allclose(off, 0.0, atol=1e-6)  # delta=0 pins source 2 as well
     assert on.std() > 0.2  # delta=1 spreads source 2 by tau2
+
+
+@pytest.mark.parametrize("case", range(1, 7))
+def test_spec_refuses_a_bad_grid_value_in_every_case(case):
+    v = np.full((4, 2), 1e-4)
+    good = spec_table(case, n_areas=4, v=v)[0].params
+    for name in good:
+        is_probability = name.startswith("p")
+        for edge in (0.0, 1.0) if is_probability else (0.0,):  # range ends are accepted
+            SimSpec(case, 1, {**good, name: edge}, n_areas=4, v=v)
+        for bad in [np.nan, np.inf, -0.01] + ([1.5] if is_probability else []):
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                SimSpec(case, 1, {**good, name: bad}, n_areas=4, v=v)
+        with pytest.raises(ValueError, match=f"^no '{name}' value$"):
+            SimSpec(case, 1, {k: x for k, x in good.items() if k != name}, n_areas=4, v=v)
