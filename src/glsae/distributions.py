@@ -22,9 +22,18 @@ zero from underflow; there is no statistical flooring.
 
 Each draw has one path. Inverse-gamma arrays come from their gamma
 variates by :func:`_invgamma_of`, and a scalar (a Gibbs global
-variance) by :func:`_invgamma_raw`. GIG draws at order +-1/2 go through
-:func:`_gig_half_runs`, the one place that orders their normals and
-uniforms, and every other order through Devroye's rejection sampler.
+variance) by :func:`_invgamma_raw`. A GIG draw takes one of three paths,
+chosen by its order alone (:func:`_gig_raw`):
+
+* order +-1/2: an inverse Gaussian, through :func:`_gig_half_runs`, the
+  one place that orders its normals and uniforms;
+* order +-(n + 1/2), n >= 1: exactly, as an inverse Gaussian plus a
+  finite gamma mixture (:func:`_gig_half_integer`), drawing the normals
+  of every cell, then their Wald uniforms, then their component
+  uniforms, then their gamma variates;
+* every other order: Devroye's rejection sampler.
+
+:func:`_wald_stable` is the one inverse-Gaussian kernel of the first two.
 
 All samplers are pure functions of (params, stream state); see
 :class:`glsae.rng.RngStream` for the concurrency contract.
@@ -32,6 +41,7 @@ All samplers are pure functions of (params, stream state); see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,14 +126,23 @@ def _wald_stable(mean, scale, nu, u):
     catastrophically when w = mean*nu^2/(2*scale) is large (it returns an
     exact 0, whose reciprocal blows up the order-1/2 GIG path); the
     rationalized form mean/(1 + w + sqrt(w^2 + 2w)) is identical algebra
-    without the subtraction. Both callers pass a ``scale`` that broadcasts
-    to ``mean``, so the draws take the shape of ``mean``.
+    without the subtraction. Both ``nu`` and ``u`` take the shape of
+    ``mean``, and ``scale`` broadcasts to it. The draws are worked in
+    ``nu`` and returned in it, and ``u`` is overwritten, so a caller's
+    final op must allocate what it keeps.
     """
-    nu = nu * nu
-    w = mean * nu / (_TWO_0D * scale)
-    small = mean / (_ONE_0D + w + np.sqrt(w * (w + _TWO_0D)))
+    w = np.multiply(nu, nu, out=nu)
+    np.multiply(mean, w, out=w)
+    np.divide(w, _TWO_0D * scale, out=w)
+    small = np.add(w, _TWO_0D, out=np.empty_like(w))  # an array, also at shape ()
+    np.sqrt(np.multiply(w, small, out=small), out=small)
+    np.add(np.add(w, _ONE_0D, out=w), small, out=w)
+    small = np.divide(mean, w, out=small)
     # accept the small root with prob mean/(mean+small), else the conjugate root
-    return np.where(u * (mean + small) <= mean, small, mean * mean / small)
+    keep = np.less_equal(np.multiply(u, np.add(mean, small, out=w), out=u), mean)
+    big = np.divide(np.multiply(mean, mean, out=w), small, out=w)
+    np.copyto(big, small, where=keep)
+    return big
 
 
 def _gig_half(order, chi, psi, nu, u):
@@ -131,11 +150,13 @@ def _gig_half(order, chi, psi, nu, u):
 
     GIG(-1/2, chi, psi) is InverseGaussian(mean=sqrt(chi/psi), scale=chi),
     and GIG(+1/2, chi, psi) is its reciprocal with chi and psi swapped.
+    ``nu`` and ``u`` are overwritten; the floored draws are a fresh array.
     """
     if order > 0:
-        out = np.reciprocal(np.maximum(_wald_stable(np.sqrt(psi / chi), psi, nu, u), _FLOOR_0D))
+        out = _wald_stable(np.sqrt(np.divide(psi, chi)), psi, nu, u)
+        np.reciprocal(np.maximum(out, _FLOOR_0D, out=out), out=out)
     else:
-        out = _wald_stable(np.sqrt(chi / psi), chi, nu, u)
+        out = _wald_stable(np.sqrt(np.divide(chi, psi)), chi, nu, u)
     return np.maximum(out, _FLOOR_0D)
 
 
@@ -151,6 +172,55 @@ def _gig_half_runs(order, chi, psi, gen, nu, u, runs):
         gen.standard_normal(out=run_nu)
         gen.random(out=run_u)
     return _gig_half(order, chi, psi, nu, u)
+
+
+@functools.cache
+def _bessel_mixture(n):
+    """The components k = 0..n of GIG(n + 1/2)'s gamma mixture: (a_k, n - k, k) as columns, and the shapes.
+
+    K_{n+1/2}(z) = sqrt(pi/2z) e^-z sum_k a_k z^-k with the integers
+    a_k = (n+k)! / (2^k k! (n-k)!) (DLMF 10.49.12). Component k has weight
+    a_k omega^(n-k), taken as a_k rho^(n-k) sigma^k with rho = omega/(1+omega)
+    and sigma = 1/(1+omega) so that no power overflows, and gamma shape
+    (n+1+k)/2, returned as a flat array.
+    """
+    a = [math.factorial(n + j) // (2**j * math.factorial(j) * math.factorial(n - j)) for j in range(n + 1)]
+    k = np.arange(n + 1.0)  # float powers, as np.power converts integer ones on every call
+    return np.array(a, dtype=float)[:, None], (n - k)[:, None], k[:, None], (n + 1 + k) / 2.0
+
+
+def _gig_half_integer(order, chi, psi, gen):
+    """GIG(order, chi, psi) draws at |order| = n + 1/2, n >= 1, exactly and without rejection.
+
+    Since K_{n+1/2} is a finite sum (:func:`_bessel_mixture`), the Laplace
+    transform of GIG(n+1/2, chi, psi) factors into that of GIG(-1/2, chi,
+    psi), an inverse Gaussian, and that of a finite mixture of gamma laws:
+    Y = IG + (2/psi) G with G ~ Gamma((n+1+k)/2), component k drawn with
+    weight a_k omega^(n-k), omega = sqrt(chi psi). A negative order
+    draws 1 / GIG(-order, psi, chi). The stream gives the Wald normals of
+    every cell, then their Wald uniforms, then their component uniforms,
+    then their gamma variates.
+    """
+    if order < 0:
+        chi, psi = psi, chi
+    a, rho_power, sigma_power, shapes = _bessel_mixture(int(abs(order)))
+    shape = np.broadcast(chi, psi).shape
+    nu = gen.standard_normal(shape)
+    u = gen.random((2, *shape))
+    # u[0, ...] is a view _wald_stable can write, also at shape ()
+    y = _wald_stable(np.sqrt(np.divide(chi, psi)), chi, nu, u[0, ...])
+    # the mixture works over the cells in one flat axis, after its component axis
+    omega = np.reshape(np.sqrt(chi) * np.sqrt(psi), -1)  # chi * psi may underflow
+    sigma = np.reciprocal(omega + _ONE_0D)
+    weight = np.multiply(np.power(np.multiply(omega, sigma), rho_power), np.power(sigma, sigma_power))
+    up_to = np.cumsum(np.multiply(weight, a, out=weight), axis=0)
+    # k counts the components whose cumulative weight the uniform passes
+    k = np.add.reduce(np.multiply(np.reshape(u[1], -1), up_to[-1]) >= up_to[:-1], axis=0)
+    g = gen.standard_gamma(shapes[k].reshape(shape))
+    np.add(y, np.multiply(g, _TWO_0D) / psi, out=y)
+    if order < 0:
+        np.reciprocal(np.maximum(y, _FLOOR_0D, out=y), out=y)
+    return np.maximum(y, _FLOOR_0D)
 
 
 def _devroye_log_kernel(z, alpha, lam):
@@ -221,23 +291,27 @@ def _gig_log_draws(order, omega, root, gen):
 
 
 def _gig_raw(order, chi, psi, gen):
-    """GIG draw at one scalar ``order``, without validation.
+    """GIG draw at one scalar ``order``, without validation, by the one path its order picks.
 
-    Orders +-1/2 take the exact inverse-Gaussian paths. Every other order
-    draws all elements at once, in numpy, with Devroye's (2014, *Stat.
-    Comput.* 24:239-246) rejection sampler on the log scale
-    (:func:`_gig_log_draws`). Its one hat serves every regime that
-    Hoermann & Leydold (2014, *Stat. Comput.* 24:547-557) treat apart
-    (ratio of uniforms with a mode shift for order >= 1 or omega > 1,
-    without one for moderate omega, and a special hat for small omega at
-    order < 1), with omega = sqrt(chi * psi) from 0 (the gamma limit) to
-    large (a narrow peak). Negative orders use X = 1 / GIG(-order, psi,
-    chi). Callers guarantee chi > 0 and psi > 0.
+    Orders +-1/2 take the exact inverse-Gaussian paths, and the other
+    half-integer orders the exact mixture of :func:`_gig_half_integer`
+    (m11b's lambda_i at an even number of sources J >= 4, order
+    (1 - J)/2). Every other order draws all elements at once, in numpy,
+    with Devroye's (2014, *Stat. Comput.* 24:239-246) rejection sampler
+    on the log scale (:func:`_gig_log_draws`). Its one hat serves every
+    regime that Hoermann & Leydold (2014, *Stat. Comput.* 24:547-557)
+    treat apart (ratio of uniforms with a mode shift for order >= 1 or
+    omega > 1, without one for moderate omega, and a special hat for
+    small omega at order < 1), with omega = sqrt(chi * psi) from 0 (the
+    gamma limit) to large (a narrow peak). Negative orders use
+    X = 1 / GIG(-order, psi, chi). Callers guarantee chi > 0 and psi > 0.
     """
     if abs(order) == 0.5:
         shape = np.broadcast(chi, psi).shape
         nu, u = np.empty(shape), np.empty(shape)
         return _gig_half_runs(order, chi, psi, gen, nu, u, ((nu, u),))
+    if abs(order) % 1.0 == 0.5:
+        return _gig_half_integer(order, chi, psi, gen)
     chi, psi = np.broadcast_arrays(np.asarray(chi, dtype=float), np.asarray(psi, dtype=float))
     omega = (np.sqrt(chi) * np.sqrt(psi)).reshape(-1)  # chi * psi may underflow
     root = np.hypot(omega, abs(order))

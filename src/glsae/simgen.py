@@ -29,7 +29,7 @@ the row's values, read by ``generate`` and printed in the tables. It
 refuses a row that lacks a column of its case's grid or holds a
 non-finite value, a probability (``p*``) outside [0, 1] or a negative
 scale (``tau*``); ``load_spec_table`` names the file and line of such a
-row.
+row, and also refuses a file column the case does not read.
 
 Sampling variances are fixed across replicates (the observed-variance
 convention); the J = 4 preliminary mode instead bootstraps them per
@@ -243,18 +243,25 @@ def spec_table(
 def load_spec_table(path, case_id: int, **kw) -> list[SimSpec]:
     """Grid override from a delimited file whose columns match the case's parameters.
 
-    Every parameter column of the case's grid must be present, and every
-    row is checked as ``SimSpec`` checks the built-in grids. A missing
-    column or value, a non-numeric or non-finite cell, a value out of its
+    Every parameter column of the case's grid must be present, besides an
+    optional ``row``, and no other column, and every row is checked as
+    ``SimSpec`` checks the built-in grids. A missing or foreign column, a
+    missing value, a non-numeric or non-finite cell, a value out of its
     range and a non-integer ``row`` are refused with the file and the
     1-based line.
     """
     if case_id not in _GRIDS:
         raise ValueError(f"unknown case {case_id}")
     (header_line, header), *records = _numbered_records(path)
-    for name in _COLUMNS[case_id]:
+    columns = _COLUMNS[case_id]
+    for name in columns:
         if name not in header:
             raise ValueError(f"{path}:{header_line}: no {name!r} column for case {case_id}")
+    for name in header:
+        if name != "row" and name not in columns:
+            raise ValueError(
+                f"{path}:{header_line}: case {case_id} reads no {name!r} column; its grid columns are {', '.join(columns)}"
+            )
     specs = []
     for row_no, (lineno, fields) in enumerate(records, start=1):
         row, params = row_no, {}

@@ -75,7 +75,7 @@ def test_gig_regime_validation():
             sample_gig(GigParams(order, 1.0, 2.0), RngStream(10))
 
 
-@pytest.mark.parametrize("order", [-2.0, -1.5, -1.0, -0.5, 0.5, 3.0])
+@pytest.mark.parametrize("order", [-2.5, -2.0, -1.5, -1.0, -0.5, 0.5, 3.0])
 # the last two: the Gibbs sampler's chi clamp, and a sharp peak
 @pytest.mark.parametrize("chi,psi", [(0.5, 2.0), (3.0, 0.5), (1e-30, 2.0), (1e6, 2.0)])
 def test_gig_regime_coverage_positive_finite(order, chi, psi):
@@ -124,6 +124,9 @@ def test_ks_inverse_gamma():
     (-0.5, 1.2, 0.7), (0.5, 0.8, 2.0), (1.7, 0.9, 1.1),
     # m11b's lambda_i orders at J = 3, 4 and 5
     (-1.0, 3.0, 2.0), (-1.5, 5.0, 2.0), (-2.0, 40.0, 2.0),
+    # the half-integer mixture at small and large omega (0.014 and 10), and
+    # at order -5/2 and omega 1, where its three components all weigh
+    (-1.5, 1e-4, 2.0), (-1.5, 50.0, 2.0), (1.5, 1e-4, 2.0), (1.5, 50.0, 2.0), (-2.5, 0.5, 2.0),
     # the Hoermann-Leydold regimes: small omega with order < 1, and no mode shift
     (0.3, 0.01, 0.5), (0.3, 0.7, 0.7),
 ])
@@ -142,8 +145,8 @@ class _NanUniforms:
 
 def test_gig_rejection_loop_is_bounded():
     # NaN uniforms reject every candidate; the sampler must raise, not spin
-    with pytest.raises(RuntimeError, match=r"order -1\.5 .*omega in \[2, 2\]"):
-        _gig_raw(-1.5, np.full(3, 2.0), 2.0, _NanUniforms())
+    with pytest.raises(RuntimeError, match=r"order -2\.0 .*omega in \[2, 2\]"):
+        _gig_raw(-2.0, np.full(3, 2.0), 2.0, _NanUniforms())
 
 
 def test_ks_halfcauchy():

@@ -203,11 +203,11 @@ def test_states_match_recorded_digests(small_panel):
 
 
 # The same state after 20 sweeps on a J = 4 panel, where m11b's lam_i
-# draw takes the order -1.5 (Devroye) GIG path and m1b's draws the +1/2 path;
-# GOLDEN covers only J = 2.
+# draw takes the order -3/2 (half-integer mixture) GIG path and m1b's draws
+# the +1/2 path; GOLDEN covers only J = 2.
 WIDE_STATE_GOLDEN = {
     "m11a": "cdc9153e13cc24f6c8d3c234f0f3fa27b845e7f67db185c508ccd0e574416c9c",
-    "m11b": "e2413ddd659dee2bff6068f78a66abc6557a088fa285e97cf242da104bea922a",
+    "m11b": "512610f2b2529c994a095e89f66af971046b0e9abc6ebebff24020001e3e51e3",
     "m1a": "fb7d82b58a8a4cd967df10316679c2c8f1dd70e721b9a9ce4755f3f5180af014",
     "m1b": "667418c4628c85cac3eaabdb5aee34139bd69389d7b5d3926eb6283173caac26",
     "m12": "0c840e8de002603fd50aef646da11ab16c27a796c4bcc2da8770d35e9dc6b936",
@@ -231,3 +231,17 @@ def _wide_panel():
 def test_wide_states_match_recorded_digests():
     panel = _wide_panel()
     assert {tag: _state_digest(tag, panel, n_sweeps=20) for tag in WIDE_STATE_GOLDEN} == WIDE_STATE_GOLDEN
+
+
+# m11b on the first three sources of the same panel, where its lam_i draw
+# takes the order -1 GIG path, Devroye's rejection sampler: no other pin
+# reaches that path.
+DEVROYE_STATE_GOLDEN = "2a61a86295c7c50429e7954bca795ffaead5f40933ef54348c84e2c40c26c342"
+
+
+def test_devroye_state_matches_recorded_digest():
+    from glsae.model import SourcePanel
+
+    wide = _wide_panel()
+    panel = SourcePanel(areas=wide.areas, sources=wide.sources[:3], y=wide.y[:, :3], v=wide.v[:, :3])
+    assert _state_digest("m11b", panel, n_sweeps=20) == DEVROYE_STATE_GOLDEN

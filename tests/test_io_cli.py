@@ -241,18 +241,18 @@ _VARIANTS = "m11a, m11b, m1a, m1b, m12, one_source"
 # and the case; older ones are the names they were first collected under.
 _FIT_REFUSALS = [
     pytest.param("missing.csv", "m12", [], "[Errno 2] No such file or directory: 'missing.csv'",
-                 id="missing.csv-m12-No such file or directory: 'missing.csv'"),
+                 id="panel-missing-file"),
     pytest.param(None, "m12,zzz", [], f"--model: unknown model 'zzz'; expected one of {_VARIANTS}",
                  id="model-unknown-tag"),
     pytest.param(None, "m12,one-source", [], "one_source on a multi-source panel needs --source",
-                 id="None-m12,one-source-needs --source"),
+                 id="source-missing-for-one-source"),
     pytest.param(None, "m12", ["--level", "1.5"], "--level must be in (0, 1), got 1.5",
-                 id="None-m12-level must be in (0, 1)"),
+                 id="level-above-one"),
     pytest.param(None, "m1a,m12,m1a", [], "--model: model 'm1a' is listed twice",
-                 id="None-m1a,m12,m1a-model 'm1a' is listed twice"),
+                 id="model-duplicate"),
     pytest.param(None, "one-source,one_source", ["--source", "brfss"],
                  "--model: model 'one_source' is listed twice",
-                 id="None-one-source,one_source-model 'one_source' is listed twice"),
+                 id="model-duplicate-alias"),
     pytest.param(None, "m12", ["--chains", "2", "--iters", "5", "--burnin", "2"],
                  "--iters 5, --burnin 2 and --thin 1 keep 3 draw(s) per chain; "
                  "split-R-hat over --chains 2 needs at least 4",
@@ -264,10 +264,10 @@ _FIT_REFUSALS = [
     pytest.param(None, ",", [], "--model: no model given", id="model-only-commas"),
     pytest.param(None, "one-source", ["--source", "-1"],
                  "--source: unknown source '-1'; panel has ('brfss', 'sahie')",
-                 id="None-one-source-unknown source '-1'; panel has ('brfss', 'sahie')"),
+                 id="source-unknown-for-one-source"),
     pytest.param(None, "m12", ["--source", "zzz"],
                  "--source: unknown source 'zzz'; panel has ('brfss', 'sahie')",
-                 id="None-m12---source: unknown source 'zzz'; panel has ('brfss', 'sahie')"),
+                 id="source-unknown-without-one-source"),
     pytest.param(None, "m12", ["--seed", "-5"], "--seed must be >= 0, got -5",
                  id="None-m12---seed must be >= 0, got -5"),
     pytest.param(None, "m12", ["--chains", "0"], "--chains must be >= 1, got 0",
@@ -277,7 +277,7 @@ _FIT_REFUSALS = [
     pytest.param(None, "m12", ["--burnin", "-1"], "--burnin must be >= 0 and below --iters (50), got -1",
                  id="None-m12---burnin must be >= 0 and below --iters (50), got -1"),
     pytest.param(None, "m12", ["--level", "0"], "--level must be in (0, 1), got 0.0",
-                 id="None-m12---level must be in (0, 1), got 0.0"),
+                 id="level-zero"),
 ]
 
 
@@ -808,7 +808,7 @@ def _one_error_line(capsys) -> str:
 
 @pytest.mark.parametrize("models, message", [
     pytest.param("m1a,m12,m1a", "--models: model 'm1a' is listed twice",
-                 id="m1a,m12,m1a---models: model 'm1a' is listed twice"),
+                 id="models-duplicate"),
     pytest.param("m1a,m12,zzz", f"--models: unknown model 'zzz'; expected one of {_VARIANTS}, mbr, msa",
                  id="models-unknown-tag"),
     pytest.param(",", "--models: no model given", id="models-empty"),
@@ -888,9 +888,12 @@ _CASE5_GRID = "tau,tau1,p,tau2\n0.05,0.01,0.2,0.1\n"
     (1, _CASE1_GRID + "2,0.3,0.3,0.07,nan\n", ":3: tau11_theta must be a finite number, got nan"),
     (5, _CASE5_GRID + "0.05,0.01,1.7,0.1\n", ":3: p must be in [0, 1], got 1.7"),
     (5, _CASE5_GRID + "-0.05,0.01,0.2,0.1\n", ":3: tau must be >= 0, got -0.05"),
+    # case 6 draws with p = 1 whatever the file says
+    (6, "row,tau,tau1,p,tau2\n3,0.05,0.01,0.3,0.15\n",
+     ":1: case 6 reads no 'p' column; its grid columns are tau, tau1, tau2"),
 ], ids=["missing-column", "non-numeric", "empty-cell", "non-integer-row",
         "case1-probability-above-one", "case1-negative-scale", "case1-nan-cell",
-        "case5-probability-above-one", "case5-negative-scale"])
+        "case5-probability-above-one", "case5-negative-scale", "case6-unread-column"])
 def test_simulate_rejects_bad_spec_file_by_line(tmp_path, capsys, case, grid, at_line):
     spec = tmp_path / "grid.csv"
     spec.write_text(grid, encoding="utf-8")
